@@ -5,13 +5,17 @@ coefficients, the sphere relation at q = 1, the normal-word shape) or is a
 property the method must have.  Nothing is compared against a stored copy
 of an earlier output, and nothing here imports ``qcpn``.
 
-A failed check raises ``CheckError``.
+A failed check raises ``CheckError``.  The benchmark runs each check
+through ``isolated``, in a forked child, so that the memory a check uses
+does not count toward the peak resident set of the benchmark process,
+which ``peak_rss_mib`` reports as the program's.
 """
 
 from __future__ import annotations
 
 import json
 import operator
+import os
 import re
 from itertools import product as cartesian
 from math import comb
@@ -27,6 +31,33 @@ class CheckError(AssertionError):
 def require(cond: bool, message: str) -> None:
     if not cond:
         raise CheckError(message)
+
+
+def isolated(check, *args) -> None:
+    """Run ``check(*args)`` in a forked child and wait for it.
+
+    A ``CheckError`` in the child is raised again here with its message.
+    The child's memory is its own, so this process's ``ru_maxrss`` stays
+    that of the program's operations.
+    """
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child: report through the pipe, never return
+        os.close(read)
+        code = 0
+        try:
+            check(*args)
+        except BaseException as exc:
+            os.write(write, f"{type(exc).__name__}: {exc}"[:2000].encode())
+            code = 1
+        finally:
+            os._exit(code)  # skips buffered stdout and atexit handlers of the parent
+    os.close(write)
+    with os.fdopen(read, "rb") as pipe:
+        message = pipe.read().decode()
+    _, status = os.waitpid(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    require(code == 0, message.removeprefix("CheckError: ") or f"check process ended with status {code}")
 
 
 def envelope(text: str, command: str) -> dict:

@@ -1,22 +1,28 @@
 #!/usr/bin/env python3
 """Benchmark of the qcpn CLI and scripts: one workload per invocation.
 
-    python3 perfbench/run.py --workload kbasis --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload kbasis --seed 1 --seconds 25 --trace 0
 
 Run from the root of a source checkout; qcpn is imported from ``src/`` and
 the scripts from ``scripts/``.  The loop is closed and single-threaded:
 each operation (one CLI command through ``qcpn.cli.run`` with stdout
 captured, or one script ``run``) starts when the previous one and its
-check have finished.  Passes over the workload's fixed item list repeat
-until ``--seconds`` have elapsed.
+check have finished.  Passes over the workload's fixed item list run in
+blocks of ``BLOCK`` passes; blocks repeat until ``--seconds`` have
+elapsed, and the last block is always completed.
 
 With ``--trace 0`` the last line reports the end-to-end metrics:
 
 * ``setup_s``: median wall time of repeated cold starts of a fresh
   interpreter running the workload's smallest CLI command;
-* ``wall_s`` / ``cpu_s``: median wall and process CPU time of one pass,
-  summed over its operations (checks run outside the clock);
-* ``peak_rss_mib``: peak resident memory of this process.
+* ``wall_s`` / ``cpu_s``: wall and process CPU time of one pass.  Within a
+  block, each item's fastest time over the block's passes is taken, and
+  these are summed over the items; the metric is the mean of these sums
+  over the blocks.  Every block has the same number of passes, so the
+  estimate does not depend on how many passes fit into the run.  Checks
+  run outside the clock;
+* ``peak_rss_mib``: peak resident memory of this process.  Checks run in
+  forked children, so this is the peak of the program's operations.
 
 With ``--trace 1`` wrappers from ``layers.py`` are installed and the last
 line reports per-layer numbers of one pass (medians over passes); the
@@ -50,6 +56,7 @@ ROOT = HERE.parent
 OUT = HERE / "out"
 SCRIPTS = ("certify_range", "fuzz_campaign")
 COLD_STARTS = 15
+BLOCK = 2  # passes per block; wall_s and cpu_s take each item's fastest time within a block
 
 
 class OpFailed(Exception):
@@ -68,7 +75,7 @@ class Runner:
         self.new_item()
 
     def new_pass(self) -> None:
-        self.output_bytes = 0
+        self.output_bytes = 0  # CLI envelopes only; script reports print timings
 
     def new_item(self) -> None:
         self.wall = self.cpu = 0.0
@@ -88,7 +95,6 @@ class Runner:
             self.wall += time.perf_counter() - wall
             self.cpu += time.process_time() - cpu
         text = out.getvalue()
-        self.output_bytes += len(text)  # the CLI and the scripts print ASCII only
         if rc != 0:
             self.failed += 1
             raise OpFailed(f"{label}: exit {rc} {err.getvalue().strip()[:200]}")
@@ -96,7 +102,9 @@ class Runner:
 
     def cli(self, argv: list) -> str:
         # looked up on every call so that a traced run sees the wrapper
-        return self._timed("qcpn " + " ".join(argv), lambda: self.cli_module.run(argv))
+        text = self._timed("qcpn " + " ".join(argv), lambda: self.cli_module.run(argv))
+        self.output_bytes += len(text)  # envelopes are ASCII
+        return text
 
     def script(self, name: str, argv: list) -> str:
         mod = self.scripts[name]
@@ -146,7 +154,7 @@ class ColdStarts:
         proc = subprocess.run(cmd, cwd=ROOT, env=self.env, capture_output=True, text=True, timeout=60)
         self.times.append(time.perf_counter() - start)
         checks.require(proc.returncode == 0, f"cold start exited {proc.returncode}: {proc.stderr[-200:]}")
-        self.workload.check_probe(proc.stdout)
+        checks.isolated(self.workload.check_probe, proc.stdout)
 
 
 def run_item(runner: Runner, item, errors: list) -> tuple[float, float]:
@@ -163,9 +171,16 @@ def run_item(runner: Runner, item, errors: list) -> tuple[float, float]:
         runner.failed += rest
     except checks.CheckError as exc:
         errors.append(f"wrong output: {item.label[:80]}: {exc}")
+        runner.attempted = before + item.ops  # the run is not correct; keep the pass size
     if runner.attempted - before != item.ops:
         raise RuntimeError(f"item {item.label!r} declares {item.ops} operations")
     return runner.wall, runner.cpu
+
+
+def fastest_sum(block: list, field: int) -> float:
+    """Sum over items of each item's fastest time in a block of passes;
+    ``field`` 0 is wall time, 1 is CPU time."""
+    return sum(min(t[field] for t in item) for item in zip(*block))
 
 
 def main(argv=None) -> int:
@@ -195,7 +210,7 @@ def main(argv=None) -> int:
     runner = Runner(cli, scripts)
     passes = []  # per pass: [(wall s, cpu s) per item], per-layer numbers
     start = time.perf_counter()
-    while True:
+    while len(passes) % BLOCK or time.perf_counter() - start < args.seconds:
         runner.new_pass()
         before = tracer.snapshot() if tracer else None
         times = []
@@ -205,19 +220,21 @@ def main(argv=None) -> int:
                 cold_start()
         per_layer = layers.layer_metrics(before, tracer.snapshot(), runner.output_bytes) if tracer else {}
         passes.append((times, per_layer))
-        if time.perf_counter() - start >= args.seconds:
-            break
     while cold and len(cold.times) < cold.count:
         cold_start()
 
     for line in errors[:20]:
         print(line, file=sys.stderr)
-    pass_walls = [sum(w for w, _ in times) for times, _ in passes]
-    # An item's time is its fastest over the passes.  Contention from other
-    # work on a shared host only ever adds time, in phases that can last
-    # longer than a run, and a median of passes follows those phases.
-    fastest = [min(col) for col in zip(*(times for times, _ in passes))]
-    wall_s = sum(w for w, _ in fastest)
+    item_times = [times for times, _ in passes]
+    pass_walls = [sum(w for w, _ in times) for times in item_times]
+    blocks = [item_times[i:i + BLOCK] for i in range(0, len(passes), BLOCK)]
+    # An item's time is its fastest over the passes of a block.  Contention
+    # from other work on a shared host only ever adds time, in phases that
+    # can last longer than a run, and a median of passes follows those
+    # phases.  Every block has the same number of passes, so a faster
+    # program, which fits more passes into the run, gets more blocks but
+    # the same estimate per block.
+    wall_s = statistics.fmean(fastest_sum(block, 0) for block in blocks)
     if tracer:
         metrics = {
             name: {"value": statistics.median(p[1][name] for p in passes), "unit": layers.unit_of(name)}
@@ -227,7 +244,7 @@ def main(argv=None) -> int:
         metrics = {
             "setup_s": {"value": statistics.median(cold.times) if cold.times else 0.0, "unit": "s"},
             "wall_s": {"value": wall_s, "unit": "s"},
-            "cpu_s": {"value": sum(c for _, c in fastest), "unit": "s"},
+            "cpu_s": {"value": statistics.fmean(fastest_sum(block, 1) for block in blocks), "unit": "s"},
             "peak_rss_mib": {"value": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "unit": "MiB"},
         }
 
@@ -235,15 +252,17 @@ def main(argv=None) -> int:
     OUT.mkdir(exist_ok=True)
     stem = f"{args.workload}-seed{args.seed}-trace{args.trace}"
     with open(OUT / f"{stem}.json", "w") as fh:
-        extra = {"pass_wall_s": pass_walls, "fastest_pass_wall_s": wall_s, "setup_samples_s": cold.times if cold else []}
+        extra = {"wall_s": wall_s, "pass_wall_s": pass_walls, "setup_samples_s": cold.times if cold else [],
+                 "item_times_s": item_times}
         json.dump({**result, **extra}, fh, indent=1)
     if tracer:
         tracer.write(OUT / f"spans-{args.workload}-seed{args.seed}.json", {"workload": args.workload, "seed": args.seed})
 
-    print(f"workload {args.workload}, seed {args.seed}, trace {args.trace}: {len(passes)} passes, "
+    print(f"workload {args.workload}, seed {args.seed}, trace {args.trace}: {len(passes)} passes "
+          f"in {len(blocks)} blocks, "
           f"{len(workload.items)} items, {runner.attempted} operations, {runner.failed} failed, "
           f"{len(errors)} errors")
-    print(f"  pass wall_s {' '.join(f'{w:.3f}' for w in pass_walls)}; fastest items sum to {wall_s:.4f} s")
+    print(f"  pass wall_s {' '.join(f'{w:.3f}' for w in pass_walls)}")
     for name, m in metrics.items():
         print(f"  {name:32s} {m['value']:.6g} {m['unit']}")
     print(json.dumps(result))

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run-to-run spread of the end-to-end metrics over several seeds.
 
-    python3 perfbench/spread.py --workload nc-fuzz --seeds 1 2 3 4 5 --seconds 20
+    python3 perfbench/spread.py --workload nc-fuzz --seeds 1 2 3 4 5 --seconds 25
 
 Runs ``run.py`` once per seed, one run at a time, and prints for each
 metric the median, the first and third quartiles
@@ -27,14 +27,13 @@ def main() -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--seconds", type=int, required=True)
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args()
 
     bounds = {m["name"]: m.get("bound") for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     runs = []
     for seed in args.seeds:
         cmd = [sys.executable, str(HERE / "run.py"), "--workload", args.workload, "--seed", str(seed),
-               "--seconds", str(args.seconds), "--trace", str(args.trace)]
+               "--seconds", str(args.seconds), "--trace", "0"]
         proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, check=True)
         result = json.loads(proc.stdout.strip().splitlines()[-1])
         runs.append(result)

@@ -3,7 +3,10 @@
 An item is a short function that performs one or more operations through
 a ``Runner`` (one CLI command or one script run each) and checks every
 output with ``checks``.  The runner times the operations; the checks run
-between them, outside the clock.
+between them, outside the clock, each in a forked child
+(``checks.isolated``).  The program is deterministic, so an item checks
+its outputs once per run: a later pass whose outputs are byte-identical
+to checked ones is not checked again.
 
 Item sizes are chosen so that no item takes most of a pass: the pass time
 is the metric, and it must not be one item's time.
@@ -55,7 +58,7 @@ def _cli_item(argv: list, check: Callable) -> Item:
     def run(runner):
         out = runner.cli(argv)
         if hash(out) not in verified:  # the same output passes the same check
-            check(out)
+            checks.isolated(check, out)
             verified.add(hash(out))
 
     return Item(" ".join(argv), 1, run)
@@ -74,7 +77,7 @@ def kbasis(seed: int) -> Workload:
 
     def certify(runner):
         out = runner.script("certify_range", ["--max-n", str(CERTIFY_MAX_N)])
-        checks.check_certify_range(out, CERTIFY_MAX_N)
+        checks.isolated(checks.check_certify_range, out, CERTIFY_MAX_N)
 
     items.append(Item(f"certify_range --max-n {CERTIFY_MAX_N}", 1, certify))
     for i in range(PAIR_ITEMS):
@@ -149,9 +152,8 @@ def _z0_power_item(k: int) -> Item:
 
 
 def _q_one_check(factors: list, n: int, label: str) -> Callable:
-    expected = checks.commutative_reduction(factors, n)
-
     def check(poly):
+        expected = checks.commutative_reduction(factors, n)
         require(checks.at_q_one(poly, n) == expected, f"{label}: q = 1 specialisation differs")
 
     return check
@@ -179,15 +181,26 @@ def _product_pair_item(rng: random.Random) -> Item:
     q_one = {key: _q_one_check(_as_factors(f), n, exprs[key]) for key, f in factors.items()}
     weight = {key: sum(-1 if s[0][2][1] else 1 for s in f) for key, f in factors.items()}
 
-    def run(runner):
+    verified = set()
+
+    def check(outs):
         nf = {}
         for key in ("A", "B", "AB"):
-            rendered, poly, degree = checks.reduce_envelope(runner.cli(_reduce_cmd(n, exprs[key])))
+            _, poly, degree = checks.reduce_envelope(outs[key])
             q_one[key](poly)
             require(not poly or degree == weight[key], f"{exprs[key]}: degree {degree}, letters {weight[key]}")
-            nf[key] = (rendered, poly)
-        _, again, _ = checks.reduce_envelope(runner.cli(_reduce_cmd(n, f"({nf['A'][0]})*({nf['B'][0]})")))
-        require(again == nf["AB"][1], f"{exprs['AB']}: nf(A*B) != nf(nf(A)*nf(B))")
+            nf[key] = poly
+        _, again, _ = checks.reduce_envelope(outs["again"])
+        require(again == nf["AB"], f"{exprs['AB']}: nf(A*B) != nf(nf(A)*nf(B))")
+
+    def run(runner):
+        outs = {key: runner.cli(_reduce_cmd(n, exprs[key])) for key in ("A", "B", "AB")}
+        a, b = (checks.envelope(outs[key], "nc reduce").get("normal_form") for key in ("A", "B"))
+        outs["again"] = runner.cli(_reduce_cmd(n, f"({a})*({b})"))
+        key = hash(tuple(outs.values()))
+        if key not in verified:
+            checks.isolated(check, outs)
+            verified.add(key)
 
     return Item(f"products n={n} {exprs['AB']}", 4, run)
 
@@ -240,7 +253,7 @@ def nc_fuzz(seed: int) -> Workload:
 
     def campaign(runner):
         out = runner.script("fuzz_campaign", argv)
-        checks.check_campaign(out, CAMPAIGN["max_n"], CAMPAIGN["exhaustive_max_n"], CAMPAIGN["trials"])
+        checks.isolated(checks.check_campaign, out, CAMPAIGN["max_n"], CAMPAIGN["exhaustive_max_n"], CAMPAIGN["trials"])
 
     items.append(Item("fuzz_campaign " + " ".join(argv), 1, campaign))
     first = RELATIONS_LADDER[0]

@@ -5,8 +5,9 @@ For each n in the requested range this reduces a batch of random words
 twice -- once with the deterministic leftmost strategy and once with a
 seeded random-redex strategy -- and reports any normal-form mismatches,
 step-budget hits, or degree violations.  Small spaces additionally get an
-exhaustive sweep over all two-letter words.  Exit code 0 means every
-reduction agreed.
+exhaustive sweep over all two-letter words under the same step budget; a
+sweep that runs out of budget counts as a failed report.  Exit code 0 means
+every reduction agreed.
 
 Usage:
     python3 scripts/fuzz_campaign.py
@@ -20,7 +21,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from qcpn.sphere import exhaustive_pair_check, fuzz_confluence
+from qcpn.sphere import StepBudgetExceeded, exhaustive_pair_check, fuzz_confluence
 
 
 @dataclass(frozen=True)
@@ -68,7 +69,12 @@ def run(config: FuzzConfig) -> int:
     failures = 0
     start = time.perf_counter()
     for n in range(config.min_n, min(config.max_n, config.exhaustive_max_n) + 1):
-        rep = exhaustive_pair_check(n)
+        try:
+            rep = exhaustive_pair_check(n, step_cap=config.step_cap)
+        except StepBudgetExceeded as exc:
+            print(f"n={n}  exhaustive  FAIL  {exc}")
+            failures += 1
+            continue
         verdict = "OK" if rep.passed else "MISMATCH"
         print(f"n={n}  exhaustive  {rep.words:6d} words  max {rep.max_steps:5d} steps  {verdict}")
         if not rep.passed:

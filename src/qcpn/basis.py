@@ -4,15 +4,25 @@ The candidate basis over the dimension-``n`` space consists of the unit
 class, the dual-tautological class minus the unit, and for each rank
 ``2 <= m <= n`` the associated fundamental bundle class minus ``m`` trivial
 summands.  Row ``j`` of the basis matrix collects the t-coefficients of the
-``j``-th candidate.  Certification computes the exact determinant and an
-exact integer inverse; both exist precisely when the matrix is unimodular,
-which is what makes the candidates a Z-basis.
+``j``-th candidate.  Certification writes down an integer inverse in closed
+form, multiplies it back to the identity exactly, and takes the determinant
+of the inverse; the exact product is the proof that the candidates are a
+Z-basis, and it forces both determinants to be the same unit.
 
-All linear algebra here is fraction-free over the integers: a Bareiss
+Writing ``u = 1 - t``, the candidates are ``b_0 = 1``, ``b_1 = u - 1`` and
+``b_m = (m-1)(u^-1 - 1) + u^(m-1) - 1``, so row ``j`` of the inverse holds
+the coordinates of ``t^j``: ``t^0 = b_0`` and ``t = -b_1``.  For
+``2 <= j < n`` the alternating binomial sum
+``sum_i (-1)^i C(j, i) b_(i+1)`` cancels the ``(m-1)`` multiples and the
+constants and leaves ``(1 - u)^j = t^j``; for ``j = n`` the top class
+``b_(n+1)`` is missing, and ``sum_k (-1)^k C(n, k) b_k`` gives
+``t^n u^-1 = t^n`` instead.
+
+The general linear algebra is fraction-free over the integers: a Bareiss
 forward elimination for determinants and a one-step fraction-free
 Gauss-Jordan for the adjugate.  Intermediate divisions are exact by
-construction, and every certificate is re-verified by multiplying back to
-the identity.
+construction.  Certificates use neither; the test suite checks the closed
+form against the elimination.
 """
 
 from __future__ import annotations
@@ -20,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from operator import mul
 
 from .corep import associated_class, fundamental_weights
 from .kclasses import KClass, line_class
@@ -182,9 +193,59 @@ def unimodular_inverse(matrix) -> tuple[int, Matrix]:
     return det, inverse
 
 
+def det_hessenberg(matrix) -> int:
+    """Exact determinant of a lower Hessenberg matrix in O(size^2) products.
+
+    Lower Hessenberg means ``a[r][c] = 0`` whenever ``c > r + 1``;
+    anything else raises ``ArithmeticError``.  Expanding the leading
+    ``k x k`` minor along its last row gives, with 1-based indices,
+    ``D_k = sum_i (-1)^(k-i) a[k][i] a[i][i+1] ... a[k-1][k] D_(i-1)``
+    and ``D_0 = 1``.
+    """
+    a = _check_square(matrix)
+    size = len(a)
+    if any(a[r][c] for r in range(size) for c in range(r + 2, size)):
+        raise ArithmeticError("matrix is not lower Hessenberg")
+    minors = [1]
+    for k in range(1, size + 1):
+        row = a[k - 1]
+        total = 0
+        chain = 1  # superdiagonal product a[i][i+1] ... a[k-1][k]
+        for i in range(k, 0, -1):
+            term = row[i - 1] * chain * minors[i - 1]
+            total += -term if (k - i) % 2 else term
+            if i > 1:
+                chain *= a[i - 2][i - 1]
+        minors.append(total)
+    return minors[size]
+
+
+def basis_inverse(n: int) -> Matrix:
+    """Closed-form integer inverse of ``basis_matrix(n)``.
+
+    Row ``j`` holds the coordinates of ``t^j`` in the candidate basis (see
+    the module docstring): ``1`` and ``-1`` on rows 0 and 1, the signed
+    binomials ``(-1)^(k-1) C(j, k-1)`` in columns ``2..j+1`` of row
+    ``2 <= j < n``, and ``(-1)^k C(n, k)`` in columns ``2..n`` of row ``n``.
+    The result is lower Hessenberg.  Only ``BasisCertificate.verify``
+    proves it is the inverse.
+    """
+    if n < 1:
+        raise ValueError("dimension must be at least 1")
+    inv = [[0] * (n + 1) for _ in range(n + 1)]
+    inv[0][0] = 1
+    inv[1][1] = -1
+    for j in range(2, n):
+        for k in range(2, j + 2):
+            inv[j][k] = -comb(j, k - 1) if k % 2 == 0 else comb(j, k - 1)
+    for k in range(2, n + 1):
+        inv[n][k] = comb(n, k) if k % 2 == 0 else -comb(n, k)
+    return inv
+
+
 def _matmul(a: Matrix, b: Matrix) -> Matrix:
     cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def _is_identity(m: Matrix) -> bool:
@@ -232,17 +293,19 @@ class BasisCertificate:
 def certify_basis(n: int) -> BasisCertificate:
     """Build the basis matrix and certify it invertible over the integers.
 
-    The classes are expected to span the full integer lattice, so a
-    non-unit determinant raises ``UnimodularityError`` and a failed
-    back-multiplication raises ``ArithmeticError``; neither is reachable
-    for valid ``n``.
+    The inverse is the closed form of ``basis_inverse`` and the determinant
+    is ``det_hessenberg`` of that inverse; neither is trusted.  The
+    certificate is kept only if the matrix times the inverse is exactly the
+    identity, which makes the inverse correct and ``det(M) = det(N) = +-1``.
+    A failed back-multiplication raises ``ArithmeticError``; it is not
+    reachable for valid ``n``.
     """
     m = basis_matrix(n)
-    det, inv = unimodular_inverse(m)
+    inv = basis_inverse(n)
     cert = BasisCertificate(
         n=n,
         matrix=tuple(tuple(row) for row in m),
-        det=det,
+        det=det_hessenberg(inv),
         inverse=tuple(tuple(row) for row in inv),
     )
     if not cert.verify():
@@ -261,6 +324,14 @@ def expand_in_basis(c: KClass, certificate: BasisCertificate | None = None):
     return cert.coordinates_of(c)
 
 
+def is_leading_block(small, big) -> bool:
+    """Is the square matrix ``small`` the upper-left corner of ``big``?"""
+    size = len(small)
+    return len(big) >= size and all(
+        list(big[i][:size]) == list(small[i]) for i in range(size)
+    )
+
+
 def nesting_check(n: int) -> bool:
     """Does the order-``n`` basis matrix sit in the upper-left corner of order ``n+1``?
 
@@ -269,6 +340,4 @@ def nesting_check(n: int) -> bool:
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    small = basis_matrix(n)
-    big = basis_matrix(n + 1)
-    return all(big[i][: n + 1] == small[i] for i in range(n + 1))
+    return is_leading_block(basis_matrix(n), basis_matrix(n + 1))

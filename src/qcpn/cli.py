@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 
 from . import __version__
 from .basis import basis_class, certify_basis
@@ -42,6 +43,21 @@ def _matrix_json(rows) -> list:
 
 def _csv_lines(rows) -> str:
     return "\n".join(",".join(str(x) for x in row) for row in rows) + "\n"
+
+
+_CHUNKS_PER_WRITE = 4096
+
+
+def _write_json(obj) -> None:
+    """Write ``json.dumps(obj, sort_keys=True, indent=2)`` and a newline.
+
+    The encoder's chunks are joined and written a few thousand at a time,
+    so a large envelope is never held as one list of every chunk.
+    """
+    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(obj)
+    while piece := "".join(islice(chunks, _CHUNKS_PER_WRITE)):
+        sys.stdout.write(piece)
+    sys.stdout.write("\n")
 
 
 def _parse_coeffs(text: str) -> list[int]:
@@ -269,7 +285,7 @@ def run(argv=None) -> int:
         "result": result,
         "version": __version__,
     }
-    print(json.dumps(envelope, sort_keys=True, indent=2))
+    _write_json(envelope)
     return 0
 
 

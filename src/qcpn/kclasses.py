@@ -130,16 +130,17 @@ def euler_class(n: int) -> KClass:
 def line_class(n: int, m: int) -> KClass:
     """Class of the degree-``m`` spectral subspace line bundle: ``(1 - t)^m``.
 
-    Negative ``m`` uses the exact inverse of ``1 - t``, which exists because
-    the constant term is a unit of ``Z``.
+    The coefficient of ``t^k`` is the signed generalised binomial
+    ``(-1)^k C(m, k)``, built by ``c_k = c_(k-1) * (k-1-m) / k``.  Each
+    division is exact because ``c_k`` is an integer, and the same row holds
+    for negative ``m``, where it is the expansion of ``(1 - t)^-|m|``.
     """
     if n < 0:
         raise ValueError("dimension must be nonnegative")
-    base = TruncatedPoly.one(n) - TruncatedPoly.t(n)
-    if m < 0:
-        base = base.invert_unit()
-        m = -m
-    return KClass(n, base**m)
+    coeffs = [1]
+    for k in range(1, n + 1):
+        coeffs.append(coeffs[-1] * (k - 1 - m) // k)
+    return KClass(n, TruncatedPoly(n, coeffs))
 
 
 def restrict(c: KClass, n_target: int) -> KClass:

@@ -13,6 +13,9 @@ Accepts the surface syntax used by the CLI and by ``NCPoly.__str__``::
 Whitespace separates tokens and is otherwise ignored.  A generator index
 above the ambient ``n`` is a syntax error, so parse errors and range
 errors surface the same way with a character offset attached.
+Parentheses nested more than ``MAX_NESTING`` levels deep are a syntax
+error too; the cap keeps the recursive descent well inside the
+interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ from typing import NamedTuple
 
 from .rings import LaurentQ
 from .sphere import NCPoly
+
+MAX_NESTING = 100  # parenthesis levels
 
 
 class NCSyntaxError(ValueError):
@@ -87,6 +92,7 @@ class _Parser:
         self.tokens = tokens
         self.n = n
         self.at = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.at]
@@ -191,8 +197,14 @@ class _Parser:
                 )
             return NCPoly.gen(self.n, index, starred)
         if tok.kind == "OP" and tok.value == "(":
+            if self.depth == MAX_NESTING:
+                raise NCSyntaxError(
+                    f"parentheses nested deeper than {MAX_NESTING} levels", tok.pos
+                )
             self.advance()
+            self.depth += 1
             inner = self.expr()
+            self.depth -= 1
             self.expect_op(")")
             return inner
         raise NCSyntaxError("expected a number, generator, or '('", tok.pos)

@@ -290,6 +290,8 @@ class TruncatedPoly:
         return other - self
 
     def __mul__(self, other):
+        if isinstance(other, int):  # scaling is O(n); skip the convolution
+            return TruncatedPoly(self.n, [c * other for c in self.coeffs])
         other = self._coerce(other)
         if other is None:
             return NotImplemented

@@ -16,11 +16,14 @@ from qcpn.basis import (
     UnimodularityError,
     basis_class,
     basis_class_closed_form,
+    basis_inverse,
     basis_matrix,
     certify_basis,
     det_cofactor,
     det_exact,
+    det_hessenberg,
     expand_in_basis,
+    is_leading_block,
     nesting_check,
     unimodular_inverse,
 )
@@ -114,6 +117,35 @@ class TestDeterminants:
         m = [[big, big - 1], [big + 1, big]]
         # det = big^2 - (big-1)(big+1) = 1
         assert det_exact(m) == 1
+
+
+def random_hessenberg(rng, size, spread):
+    """Random integer matrix with a[r][c] = 0 for c > r + 1."""
+    return [
+        [rng.randint(-spread, spread) if c <= r + 1 else 0 for c in range(size)]
+        for r in range(size)
+    ]
+
+
+class TestHessenbergDeterminant:
+    @settings(max_examples=80)
+    @given(st.integers(0, 10**9), st.integers(1, 12), st.sampled_from([1, 9]))
+    def test_matches_elimination(self, seed, size, spread):
+        # spread 1 puts many zeros on the superdiagonal
+        m = random_hessenberg(random.Random(seed), size, spread)
+        assert det_hessenberg(m) == det_exact(m)
+
+    def test_large_entries_stay_exact(self):
+        big = 10**30
+        assert det_hessenberg([[big, big - 1], [big + 1, big]]) == 1
+
+    def test_rejects_entry_above_superdiagonal(self):
+        with pytest.raises(ArithmeticError):
+            det_hessenberg([[1, 0, 1], [0, 1, 0], [0, 0, 1]])
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError):
+            det_hessenberg([[1, 2]])
 
 
 class TestUnimodularInverse:
@@ -210,6 +242,19 @@ class TestCertificates:
         assert cert.inverse == ((1, 0, 0), (0, -1, 0), (0, 0, 1))
         assert cert.verify()
 
+    def test_closed_form_inverse_matches_elimination(self):
+        for n in range(1, 41):
+            det, inv = unimodular_inverse(basis_matrix(n))
+            assert basis_inverse(n) == inv, n
+            assert certify_basis(n).det == det, n
+
+    def test_failed_back_multiplication_raises(self, monkeypatch):
+        import qcpn.basis as basis
+
+        monkeypatch.setattr(basis, "basis_inverse", lambda n: basis_matrix(n))
+        with pytest.raises(ArithmeticError):
+            basis.certify_basis(3)
+
     def test_n1_determinant(self):
         assert certify_basis(1).det == -1
 
@@ -259,3 +304,10 @@ class TestNesting:
     def test_range_error(self):
         with pytest.raises(ValueError):
             nesting_check(0)
+
+    def test_leading_block(self):
+        big = [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
+        assert is_leading_block([[1, 2], [4, 5]], big)
+        assert is_leading_block(((1, 2), (4, 5)), tuple(map(tuple, big)))
+        assert not is_leading_block([[1, 2], [4, 6]], big)
+        assert not is_leading_block(big, [[1, 2], [4, 5]])

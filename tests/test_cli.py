@@ -1,5 +1,6 @@
 """CLI envelopes, schema conformance, determinism, and exit codes."""
 
+import io
 import json
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 
 from qcpn.basis import certify_basis
 from qcpn.cli import run
+from qcpn.ncparse import MAX_NESTING
 
 
 def load_schema():
@@ -187,6 +189,20 @@ class TestNC:
         code, _, err = invoke(capsys, "nc", "reduce", "--n", "1", "--expr", "z0 +")
         assert code == 1 and "offset" in err
 
+    @pytest.mark.parametrize("action", [["reduce", "--n", "1"], ["degree"]])
+    @pytest.mark.parametrize("depth", [MAX_NESTING, MAX_NESTING + 1, 1000])
+    def test_nesting_depth_capped(self, capsys, action, depth):
+        expr = "(" * depth + "z0" + ")" * depth
+        code, out, err = invoke(capsys, "nc", *action, "--expr", expr)
+        if depth <= MAX_NESTING:
+            assert code == 0 and json.loads(out)["result"]["degree"] == 1
+        else:
+            assert code == 1 and out == ""
+            assert err == (
+                f"error: parentheses nested deeper than {MAX_NESTING} levels"
+                f" at offset {MAX_NESTING}\n"
+            )
+
     def test_step_cap_respected(self, capsys, monkeypatch):
         monkeypatch.setenv("QCPN_STEP_CAP", "1")
         code, _, err = invoke(capsys, "nc", "reduce", "--n", "2", "--expr", "z0*z0s")
@@ -207,6 +223,21 @@ class TestEnvelope:
         _, second, _ = invoke(capsys, "nc", "fuzz", "--n", "2", "--max-len", "5",
                               "--trials", "100", "--seed", "42")
         assert first == second
+
+    def test_large_envelope_written_in_pieces(self, monkeypatch):
+        class Recorder(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                Recorder.writes += 1
+                return super().write(text)
+
+        out = Recorder()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert run(["kbasis", "--n", "60"]) == 0
+        text = out.getvalue()
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+        assert Recorder.writes > 2  # more than one piece, then the newline
 
     def test_every_command_validates(self, capsys):
         invocations = [

@@ -47,6 +47,15 @@ class TestLineClass:
         seen = {line_class(n, m) for m in range(-20, 21)}
         assert len(seen) == 41
 
+    def test_closed_form_matches_ring_powers(self):
+        # oracle: (1 - t)^m by repeated squaring, through the unit inverse for m < 0
+        for n in range(31):
+            base = TruncatedPoly.one(n) - TruncatedPoly.t(n)
+            inverse = base.invert_unit()
+            for m in range(-2 * n, 2 * n + 1):
+                expected = base**m if m >= 0 else inverse ** (-m)
+                assert line_class(n, m).poly == expected, (n, m)
+
     def test_first_order_coefficient_detects_power(self):
         for m in range(-20, 21):
             assert line_class(5, m).poly.coeffs[1] == -m

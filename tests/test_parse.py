@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from qcpn.ncparse import NCSyntaxError, parse_expr
+from qcpn.ncparse import MAX_NESTING, NCSyntaxError, parse_expr
 from qcpn.rings import LaurentQ
 from qcpn.sphere import Generator, NCPoly, normal_form
 
@@ -104,6 +104,16 @@ class TestErrors:
     def test_message_carries_offset(self):
         with pytest.raises(NCSyntaxError, match="offset 0"):
             parse_expr("z9", 1)
+
+    def test_nesting_cap(self):
+        at_cap = "(" * MAX_NESTING + "z0" + ")" * MAX_NESTING
+        assert parse_expr(at_cap, 1) == gen(1, 0)
+        with pytest.raises(NCSyntaxError, match=f"offset {MAX_NESTING + 3}$"):
+            parse_expr("z0*" + "(" * (MAX_NESTING + 1) + "z0" + ")" * (MAX_NESTING + 1), 1)
+
+    def test_sibling_parentheses_do_not_add_up(self):
+        flat = "*".join(["(z0)"] * (2 * MAX_NESTING))
+        assert parse_expr(flat, 1) == gen(1, 0) ** (2 * MAX_NESTING)
 
     def test_negative_ambient_rejected(self):
         with pytest.raises(ValueError):

@@ -179,6 +179,11 @@ class TestTruncatedPoly:
             expected = expected * a
         assert a**e == expected
 
+    @given(truncated(), st.integers(-10**20, 10**20))
+    def test_int_scaling_matches_constant_product(self, a, k):
+        constant = TruncatedPoly(a.n, (k,))
+        assert a * k == a * constant == k * a == constant * a
+
     @given(truncated(), st.sampled_from([1, -1]))
     def test_invert_unit_inverts(self, a, unit):
         coeffs = (unit,) + a.coeffs[1:]

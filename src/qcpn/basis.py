@@ -33,7 +33,7 @@ from math import comb
 from operator import mul
 
 from .corep import associated_class, fundamental_weights
-from .kclasses import KClass, line_class
+from .kclasses import line_class
 from .rings import TruncatedPoly
 
 Matrix = list[list[int]]
@@ -43,7 +43,7 @@ class UnimodularityError(ArithmeticError):
     """Raised when a matrix expected to be invertible over Z is not."""
 
 
-def basis_class(n: int, m: int) -> KClass:
+def basis_class(n: int, m: int) -> TruncatedPoly:
     """The ``m``-th candidate basis class, built through the bundle route.
 
     ``m = 0`` is the unit, ``m = 1`` the dual tautological class minus the
@@ -54,13 +54,13 @@ def basis_class(n: int, m: int) -> KClass:
     if not 0 <= m <= n:
         raise ValueError(f"basis index must satisfy 0 <= m <= {n}, got {m}")
     if m == 0:
-        return KClass.unit(n)
+        return TruncatedPoly.one(n)
     if m == 1:
         return line_class(n, 1) - 1
     return associated_class(n, fundamental_weights(m)) - m
 
 
-def basis_class_closed_form(n: int, m: int) -> KClass:
+def basis_class_closed_form(n: int, m: int) -> TruncatedPoly:
     """Closed form of ``basis_class`` for ``m >= 2``.
 
     Coefficient of ``t^k`` is ``(m-1) + (-1)^k * C(m-1, k)`` for ``k >= 2``
@@ -73,14 +73,14 @@ def basis_class_closed_form(n: int, m: int) -> KClass:
     for k in range(2, n + 1):
         signed = comb(m - 1, k) if k % 2 == 0 else -comb(m - 1, k)
         coeffs.append((m - 1) + signed)
-    return KClass(n, TruncatedPoly(n, coeffs))
+    return TruncatedPoly(n, coeffs)
 
 
 def basis_matrix(n: int) -> Matrix:
     """Rows are the t-coefficients of the candidate basis classes."""
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    return [list(basis_class(n, j).poly.coeffs) for j in range(n + 1)]
+    return [list(basis_class(n, j).coeffs) for j in range(n + 1)]
 
 
 def _check_square(matrix) -> list[list[int]]:
@@ -271,11 +271,11 @@ class BasisCertificate:
             _matmul([list(r) for r in self.matrix], [list(r) for r in self.inverse])
         )
 
-    def coordinates_of(self, c: KClass) -> tuple[int, ...]:
+    def coordinates_of(self, c: TruncatedPoly) -> tuple[int, ...]:
         """Coordinates of ``c`` in the certified basis (row vector times inverse)."""
         if c.n != self.n:
             raise ValueError(f"class has n={c.n}, certificate has n={self.n}")
-        v = c.poly.coeffs
+        v = c.coeffs
         return tuple(
             sum(v[k] * self.inverse[k][j] for k in range(self.n + 1))
             for j in range(self.n + 1)
@@ -318,7 +318,7 @@ def _cached_certificate(n: int) -> BasisCertificate:
     return certify_basis(n)
 
 
-def expand_in_basis(c: KClass, certificate: BasisCertificate | None = None):
+def expand_in_basis(c: TruncatedPoly, certificate: BasisCertificate | None = None):
     """Unique integer coordinates of ``c`` in the certified basis."""
     cert = certificate if certificate is not None else _cached_certificate(c.n)
     return cert.coordinates_of(c)

@@ -27,18 +27,11 @@ from itertools import islice
 from . import __version__
 from .basis import basis_class, certify_basis
 from .corep import associated_class, fundamental_weights
-from .kclasses import KClass, line_class, restrict
+from .kclasses import line_class, restrict
 from .ncparse import parse_expr, _tokenize
 from .pairing import pairing_vector
+from .rings import TruncatedPoly
 from .sphere import fuzz_confluence, normal_form, verify_defining_relations
-
-
-def _kclass_json(c: KClass) -> dict:
-    return c.as_dict()
-
-
-def _matrix_json(rows) -> list:
-    return [[str(x) for x in row] for row in rows]
 
 
 def _csv_lines(rows) -> str:
@@ -67,12 +60,12 @@ def _parse_coeffs(text: str) -> list[int]:
         raise ValueError(f"--coeffs expects comma-separated integers, got {text!r}")
 
 
-def _class_from_args(args) -> KClass:
+def _class_from_args(args) -> TruncatedPoly:
     if args.line is not None:
         return line_class(args.n, args.line)
     if getattr(args, "basis", None) is not None:
         return basis_class(args.n, args.basis)
-    return KClass.from_coeffs(args.n, _parse_coeffs(args.coeffs))
+    return TruncatedPoly(args.n, _parse_coeffs(args.coeffs))
 
 
 def _class_params(args) -> dict:
@@ -88,20 +81,14 @@ def _class_params(args) -> dict:
 
 def _run_kbasis(args):
     cert = certify_basis(args.n)
-    result = {
-        "n": cert.n,
-        "matrix": _matrix_json(cert.matrix),
-        "det": str(cert.det),
-        "inverse": _matrix_json(cert.inverse),
-    }
     csv = _csv_lines(cert.matrix) if args.format == "csv" else None
-    return {"n": args.n, "format": args.format}, result, csv
+    return {"n": args.n, "format": args.format}, cert.as_dict(), csv
 
 
 def _run_kclass_line(args):
     c = line_class(args.n, args.m)
-    csv = _csv_lines([c.poly.coeffs]) if args.format == "csv" else None
-    return {"n": args.n, "m": args.m, "format": args.format}, _kclass_json(c), csv
+    csv = _csv_lines([c.coeffs]) if args.format == "csv" else None
+    return {"n": args.n, "m": args.m, "format": args.format}, c.as_dict(), csv
 
 
 def _run_kclass_assoc(args):
@@ -115,7 +102,7 @@ def _run_kclass_assoc(args):
         "su": args.su,
         "weights": list(w),
         "decomposition": decomposition,
-        "class": _kclass_json(c),
+        "class": c.as_dict(),
     }
     return {"n": args.n, "su": args.su}, result, None
 
@@ -125,7 +112,7 @@ def _run_pair(args):
     vec = pairing_vector(c)
     result = {
         "n": c.n,
-        "class": _kclass_json(c),
+        "class": c.as_dict(),
         "pairings": [str(v) for v in vec.values],
     }
     return {"n": args.n, **_class_params(args)}, result, None
@@ -135,8 +122,8 @@ def _run_restrict(args):
     c = _class_from_args(args)
     restricted = restrict(c, args.target)
     params = {"n": args.n, "target": args.target, **_class_params(args)}
-    csv = _csv_lines([restricted.poly.coeffs]) if args.format == "csv" else None
-    return params, _kclass_json(restricted), csv
+    csv = _csv_lines([restricted.coeffs]) if args.format == "csv" else None
+    return params, restricted.as_dict(), csv
 
 
 def _degree_payload(poly) -> "int | str":

@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections import Counter
 
-from .kclasses import KClass, line_class
+from .kclasses import line_class
+from .rings import TruncatedPoly
 
 
 @dataclass(frozen=True)
@@ -68,7 +69,7 @@ def satisfies_determinant_condition(w: WeightVector) -> bool:
     return w.total() == 0
 
 
-def associated_class(n: int, w: WeightVector) -> KClass:
+def associated_class(n: int, w: WeightVector) -> TruncatedPoly:
     """K-class of the vector bundle associated to a weight multiset.
 
     Weightwise cotensor: each weight ``lam`` contributes the line class of
@@ -76,7 +77,7 @@ def associated_class(n: int, w: WeightVector) -> KClass:
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    total = KClass.zero(n)
+    total = TruncatedPoly.zero(n)
     for lam, mult in w.counts().items():
         total = total + mult * line_class(n, lam)
     return total

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .kclasses import KClass
+from .rings import TruncatedPoly
 
 
-def index_pairing(k: int, c: KClass) -> int:
+def index_pairing(k: int, c: TruncatedPoly) -> int:
     """Pair the k-th K-homology generator with the class ``c``.
 
     Equals ``(-1)^k`` times the degree-``k`` coefficient of ``c``; linear
@@ -22,7 +22,7 @@ def index_pairing(k: int, c: KClass) -> int:
     """
     if not 0 <= k <= c.n:
         raise ValueError(f"pairing index must satisfy 0 <= k <= {c.n}, got {k}")
-    coeff = c.poly.coeffs[k]
+    coeff = c.coeffs[k]
     return -coeff if k % 2 else coeff
 
 
@@ -44,7 +44,7 @@ class PairingVector:
         return self.values[1] if self.n >= 1 else 0
 
 
-def pairing_vector(c: KClass) -> PairingVector:
+def pairing_vector(c: TruncatedPoly) -> PairingVector:
     return PairingVector(c.n, tuple(index_pairing(k, c) for k in range(c.n + 1)))
 
 

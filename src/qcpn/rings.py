@@ -25,6 +25,23 @@ class NotInvertibleError(ValueError):
     """Raised when inversion is requested for a non-unit."""
 
 
+def binary_power(base, e: int, one):
+    """``base ** e`` for ``e >= 0`` by binary powering, starting from ``one``.
+
+    The base is squared only while higher bits of ``e`` remain: one square
+    past the top bit would cost nothing in a truncated ring but would build
+    ``base^(2^k)`` in the free algebra, where its size grows with ``k``.
+    """
+    acc = one
+    while e:
+        if e & 1:
+            acc = acc * base
+        e >>= 1
+        if e:
+            base = base * base
+    return acc
+
+
 class LaurentQ:
     """A Laurent polynomial ``sum_e c_e * q^e`` with integer coefficients.
 
@@ -162,14 +179,7 @@ class LaurentQ:
     def __pow__(self, e: int) -> "LaurentQ":
         if e < 0:
             raise NotInvertibleError("negative powers of a general Laurent polynomial")
-        acc = LaurentQ.one()
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
+        return binary_power(self, e, LaurentQ.one())
 
     def __str__(self) -> str:
         if not self._terms:
@@ -193,10 +203,12 @@ class LaurentQ:
 
 
 class TruncatedPoly:
-    """An element of ``Z[t] / t^(n+1)``.
+    """An element of ``Z[t] / t^(n+1)``; K-classes are these elements.
 
     ``coeffs[k]`` is the coefficient of ``t^k``; the tuple always has
     length ``n + 1``.  Instances are immutable and safe to share.
+    ``coeffs`` may itself be a ``TruncatedPoly``, but only of order ``n``;
+    a lower-order element is rejected rather than padded with zeros.
     """
 
     __slots__ = ("n", "coeffs")
@@ -204,6 +216,12 @@ class TruncatedPoly:
     def __init__(self, n: int, coeffs: Iterable[int] = ()):
         if n < 0:
             raise ValueError("truncation order must be nonnegative")
+        if isinstance(coeffs, TruncatedPoly):
+            if coeffs.n != n:
+                raise TruncationMismatchError(
+                    f"polynomial order {coeffs.n} does not match n={n}"
+                )
+            coeffs = coeffs.coeffs
         cs = [int(c) for c in coeffs]
         if len(cs) > n + 1:
             raise ValueError(
@@ -225,12 +243,18 @@ class TruncatedPoly:
     def one(cls, n: int) -> "TruncatedPoly":
         return cls(n, (1,))
 
+    unit = one  # K-class name: the class of the trivial line bundle
+
     @classmethod
     def t(cls, n: int) -> "TruncatedPoly":
         """The class of the variable ``t`` (zero when ``n = 0``)."""
         if n == 0:
             return cls(0)
         return cls(n, (0, 1))
+
+    @classmethod
+    def from_coeffs(cls, n: int, coeffs: Iterable[int]) -> "TruncatedPoly":
+        return cls(n, coeffs)
 
     def _check_order(self, other: "TruncatedPoly"):
         if self.n != other.n:
@@ -243,6 +267,13 @@ class TruncatedPoly:
 
     def constant_term(self) -> int:
         return self.coeffs[0]
+
+    rank = constant_term  # K-class name: the fibre dimension of a bundle
+
+    @property
+    def poly(self) -> "TruncatedPoly":
+        """The element itself, for code written against a wrapping K-class."""
+        return self
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
@@ -312,14 +343,7 @@ class TruncatedPoly:
     def __pow__(self, e: int) -> "TruncatedPoly":
         if e < 0:
             raise ValueError("negative exponent; use invert_unit for inverses")
-        acc = TruncatedPoly.one(self.n)
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
+        return binary_power(self, e, TruncatedPoly.one(self.n))
 
     def invert_unit(self) -> "TruncatedPoly":
         """Multiplicative inverse, defined exactly when the constant term is +-1.
@@ -345,6 +369,10 @@ class TruncatedPoly:
                 f"cannot truncate order {self.n} up to order {n_target}"
             )
         return TruncatedPoly(n_target, self.coeffs[: n_target + 1])
+
+    def as_dict(self) -> dict:
+        """JSON form with coefficients as decimal strings (never floats)."""
+        return {"n": self.n, "coeffs": [str(c) for c in self.coeffs]}
 
     def __str__(self) -> str:
         parts = []

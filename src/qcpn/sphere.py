@@ -36,9 +36,10 @@ import os
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import product
 from typing import Iterable, NamedTuple
 
-from .rings import LaurentQ
+from .rings import LaurentQ, binary_power
 
 DEFAULT_STEP_CAP = 10**6
 STEP_CAP_ENV = "QCPN_STEP_CAP"
@@ -78,6 +79,15 @@ def _decode(code: int, n: int) -> Generator:
     if code <= n:
         return Generator(code, True)
     return Generator(code - (n + 1), False)
+
+
+def _weight(word: tuple[int, ...], shift: int) -> int:
+    """Circle weight of a word: +1 per unstarred letter, -1 per starred one."""
+    return sum(1 if c >= shift else -1 for c in word)
+
+
+def _render_word(word: tuple[int, ...], n: int) -> str:
+    return "*".join(str(_decode(c, n)) for c in word)
 
 
 class NCPoly:
@@ -246,10 +256,7 @@ class NCPoly:
     def __pow__(self, e: int) -> "NCPoly":
         if e < 0:
             raise ValueError("negative powers are not defined in the free algebra")
-        acc = NCPoly.one(self.n)
-        for _ in range(e):
-            acc = acc * self
-        return acc
+        return binary_power(self, e, NCPoly.one(self.n))
 
     # -- structure maps ----------------------------------------------------
 
@@ -271,9 +278,7 @@ class NCPoly:
         zero polynomial reports 0 (it lies in every spectral component).
         """
         shift = self.n + 1
-        degrees = {
-            sum(1 if c >= shift else -1 for c in word) for word in self._terms
-        }
+        degrees = {_weight(word, shift) for word in self._terms}
         if not degrees:
             return 0
         if len(degrees) == 1:
@@ -286,7 +291,7 @@ class NCPoly:
         kept = {
             word: coeff
             for word, coeff in self._terms.items()
-            if sum(1 if c >= shift else -1 for c in word) == m
+            if _weight(word, shift) == m
         }
         return NCPoly._raw(self.n, kept)
 
@@ -312,7 +317,7 @@ class NCPoly:
         n = self.n
         for word in sorted(self._terms, key=lambda w: (len(w), w)):
             coeff = self._terms[word]
-            word_str = "*".join(str(_decode(c, n)) for c in word)
+            word_str = _render_word(word, n)
             cterms = coeff.terms()
             negative = False
             if len(cterms) > 1:
@@ -589,6 +594,29 @@ def _random_word(rng: random.Random, n: int, max_len: int) -> tuple[int, ...]:
     return tuple(rng.randrange(top) for _ in range(length))
 
 
+def _compare_strategies(
+    word: tuple[int, ...], n: int, rng: random.Random, cap: int, report: ReductionReport
+) -> None:
+    """Reduce one word leftmost-innermost and with random redex choice.
+
+    Differing normal forms or broken weight homogeneity are recorded in
+    ``report``; ``StepBudgetExceeded`` propagates to the caller.
+    """
+    start = {word: LaurentQ.one()}
+    left_terms, left_steps = _reduce(start, n, _leftmost, ALL_RULES, cap)
+    rand_terms, rand_steps = _reduce(start, n, rng.choice, ALL_RULES, cap)
+    report.max_steps = max(report.max_steps, left_steps, rand_steps)
+    left = NCPoly._raw(n, left_terms)
+    rand = NCPoly._raw(n, rand_terms)
+    degree = _weight(word, n + 1)
+    if left != rand:
+        report.mismatches.append((_render_word(word, n), str(left), str(rand)))
+    elif not left.is_zero() and left.u1_degree() != degree:
+        report.mismatches.append(
+            (_render_word(word, n), f"weight {left.u1_degree()}", f"weight {degree}")
+        )
+
+
 def fuzz_confluence(
     n: int, max_len: int, trials: int, seed: int, step_cap: int | None = None
 ) -> ReductionReport:
@@ -604,29 +632,13 @@ def fuzz_confluence(
     cap = _step_cap() if step_cap is None else step_cap
     rng = random.Random(seed)
     report = ReductionReport(words=trials)
-    shift = n + 1
     for _ in range(trials):
         word = _random_word(rng, n, max_len)
-        degree = sum(1 if c >= shift else -1 for c in word)
-        start = {word: LaurentQ.one()}
-        rendered = "*".join(str(_decode(c, n)) for c in word)
         try:
-            left_terms, left_steps = _reduce(start, n, _leftmost, ALL_RULES, cap)
-            rand_terms, rand_steps = _reduce(
-                dict(start), n, lambda rs: rng.choice(rs), ALL_RULES, cap
-            )
+            _compare_strategies(word, n, rng, cap, report)
         except StepBudgetExceeded:
-            report.mismatches.append((rendered, "step budget exceeded", ""))
-            continue
-        report.max_steps = max(report.max_steps, left_steps, rand_steps)
-        left = NCPoly._raw(n, left_terms)
-        rand = NCPoly._raw(n, rand_terms)
-        if left != rand:
-            report.mismatches.append((rendered, str(left), str(rand)))
-            continue
-        if not left.is_zero() and left.u1_degree() != degree:
             report.mismatches.append(
-                (rendered, f"weight {left.u1_degree()}", f"weight {degree}")
+                (_render_word(word, n), "step budget exceeded", "")
             )
     return report
 
@@ -636,31 +648,13 @@ def exhaustive_pair_check(n: int, step_cap: int | None = None) -> ReductionRepor
 
     The random strategy is immaterial on a single redex, so this checks
     agreement of all rule orientations on overlap-free inputs and the
-    weight homogeneity of every rule.
+    weight homogeneity of every rule.  An exhausted step budget raises
+    ``StepBudgetExceeded``.
     """
     cap = _step_cap() if step_cap is None else step_cap
     top = 2 * (n + 1)
-    shift = n + 1
     rng = random.Random(0)
-    report = ReductionReport()
-    for a in range(top):
-        for b in range(top):
-            word = (a, b)
-            report.words += 1
-            degree = sum(1 if c >= shift else -1 for c in word)
-            rendered = "*".join(str(_decode(c, n)) for c in word)
-            start = {word: LaurentQ.one()}
-            left_terms, steps = _reduce(start, n, _leftmost, ALL_RULES, cap)
-            rand_terms, _ = _reduce(
-                dict(start), n, lambda rs: rng.choice(rs), ALL_RULES, cap
-            )
-            report.max_steps = max(report.max_steps, steps)
-            left = NCPoly._raw(n, left_terms)
-            rand = NCPoly._raw(n, rand_terms)
-            if left != rand:
-                report.mismatches.append((rendered, str(left), str(rand)))
-            elif not left.is_zero() and left.u1_degree() != degree:
-                report.mismatches.append(
-                    (rendered, f"weight {left.u1_degree()}", f"weight {degree}")
-                )
+    report = ReductionReport(words=top * top)
+    for word in product(range(top), repeat=2):
+        _compare_strategies(word, n, rng, cap, report)
     return report

@@ -3,6 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from qcpn.basis import basis_class
+from qcpn.corep import associated_class, fundamental_weights
 from qcpn.kclasses import KClass, euler_class, line_class, restrict
 from qcpn.rings import TruncatedPoly
 
@@ -98,6 +100,15 @@ class TestKClassPlumbing:
     def test_mismatched_order_rejected(self):
         with pytest.raises(ValueError):
             KClass(2, TruncatedPoly(3, (1,)))
+        # a lower-order polynomial is not padded up to order n
+        with pytest.raises(ValueError):
+            KClass(3, TruncatedPoly(2, (1,)))
+
+    def test_classes_are_ring_elements(self):
+        assert type(line_class(3, 2)) is TruncatedPoly
+        assert type(associated_class(3, fundamental_weights(3))) is TruncatedPoly
+        assert type(basis_class(3, 2)) is TruncatedPoly
+        assert line_class(3, 0) == 1
 
     def test_arithmetic_with_ints(self):
         c = line_class(2, 1)

@@ -375,6 +375,27 @@ class TestNCPolyPlumbing:
         assert p**0 == NCPoly.one(2)
         with pytest.raises(ValueError):
             p**-1
+        p = gen(1, 0) - LaurentQ.q_power(1) * gen(1, 1, True) + 2
+        expected = NCPoly.one(1)
+        for e in range(10):
+            assert p**e == expected, e
+            expected = expected * p
+
+    def test_pow_uses_logarithmically_many_products(self, monkeypatch):
+        mul = NCPoly.__mul__
+        products = []  # the word length of each product formed
+
+        def counting(self, other):
+            products.append(max(map(len, self._terms)) + max(map(len, other._terms)))
+            return mul(self, other)
+
+        monkeypatch.setattr(NCPoly, "__mul__", counting)
+        for e in (0, 1, 2, 3, 8, 255, 256, 1000):
+            products.clear()
+            gen(1, 0) ** e
+            assert len(products) <= 2 * e.bit_length(), e
+            # no square is formed past the top bit of e
+            assert max(products, default=0) <= e, e
 
     def test_adjoint_involution(self):
         p = word_poly(2, [(0, False), (1, True), (2, False)])

@@ -31,7 +31,7 @@ from .kclasses import line_class, restrict
 from .ncparse import parse_expr, _tokenize
 from .pairing import pairing_vector
 from .rings import TruncatedPoly
-from .sphere import fuzz_confluence, normal_form, verify_defining_relations
+from .sphere import _NormalProduct, fuzz_confluence, verify_defining_relations
 
 
 def _csv_lines(rows) -> str:
@@ -132,8 +132,7 @@ def _degree_payload(poly) -> "int | str":
 
 
 def _run_nc_reduce(args):
-    p = parse_expr(args.expr, args.n)
-    nf = normal_form(p)
+    nf = parse_expr(args.expr, args.n, _mul=_NormalProduct(args.n))
     result = {"normal_form": str(nf), "degree": _degree_payload(nf)}
     return {"n": args.n, "expr": args.expr}, result, None
 

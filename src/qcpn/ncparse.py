@@ -16,13 +16,19 @@ errors surface the same way with a character offset attached.
 Parentheses nested more than ``MAX_NESTING`` levels deep are a syntax
 error too; the cap keeps the recursive descent well inside the
 interpreter's recursion limit.
+
+``parse_expr`` expands the free product.  Its private ``_mul`` hook
+replaces the product of ``*`` and of every multiply inside ``^``;
+``nc reduce`` passes the normal-form product there, so that each
+product is reduced as soon as it is formed.
 """
 
 from __future__ import annotations
 
+from operator import mul as _free_product
 from typing import NamedTuple
 
-from .rings import LaurentQ
+from .rings import LaurentQ, binary_power
 from .sphere import NCPoly
 
 MAX_NESTING = 100  # parenthesis levels
@@ -88,9 +94,10 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], n: int):
+    def __init__(self, tokens: list[_Token], n: int, mul):
         self.tokens = tokens
         self.n = n
+        self.mul = mul
         self.at = 0
         self.depth = 0
 
@@ -136,7 +143,7 @@ class _Parser:
         acc = self.factor()
         while self.is_op("*"):
             self.advance()
-            acc = acc * self.factor()
+            acc = self.mul(acc, self.factor())
         return acc
 
     def factor(self) -> NCPoly:
@@ -145,7 +152,7 @@ class _Parser:
             caret = self.advance()
             e = self.signed_int()
             if e >= 0:
-                acc = acc**e
+                acc = binary_power(acc, e, NCPoly.one(self.n), self.mul)
             else:
                 acc = self._invert_scalar(acc, e, caret.pos)
         return acc
@@ -210,8 +217,8 @@ class _Parser:
         raise NCSyntaxError("expected a number, generator, or '('", tok.pos)
 
 
-def parse_expr(text: str, n: int) -> NCPoly:
+def parse_expr(text: str, n: int, *, _mul=_free_product) -> NCPoly:
     """Parse ``text`` as an element of the ambient-``n`` sphere algebra."""
     if n < 0:
         raise ValueError("ambient index n must be nonnegative")
-    return _Parser(_tokenize(text), n).parse()
+    return _Parser(_tokenize(text), n, _mul).parse()

@@ -14,6 +14,7 @@ No floating point is used anywhere; Python integers are exact at any size.
 
 from __future__ import annotations
 
+from operator import mul as _times
 from typing import Iterable, Mapping
 
 
@@ -25,20 +26,21 @@ class NotInvertibleError(ValueError):
     """Raised when inversion is requested for a non-unit."""
 
 
-def binary_power(base, e: int, one):
+def binary_power(base, e: int, one, mul=_times):
     """``base ** e`` for ``e >= 0`` by binary powering, starting from ``one``.
 
-    The base is squared only while higher bits of ``e`` remain: one square
-    past the top bit would cost nothing in a truncated ring but would build
-    ``base^(2^k)`` in the free algebra, where its size grows with ``k``.
+    ``mul`` forms every product (default ``*``).  The base is squared only
+    while higher bits of ``e`` remain: one square past the top bit would
+    cost nothing in a truncated ring but would build ``base^(2^k)`` in the
+    free algebra, where its size grows with ``k``.
     """
     acc = one
     while e:
         if e & 1:
-            acc = acc * base
+            acc = mul(acc, base)
         e >>= 1
         if e:
-            base = base * base
+            base = mul(base, base)
     return acc
 
 
@@ -102,6 +104,8 @@ class LaurentQ:
         return self._terms == other._terms
 
     def __hash__(self):
+        if not self._terms.keys() - {0}:  # a constant hashes like its int
+            return hash(self._terms.get(0, 0))
         return hash(frozenset(self._terms.items()))
 
     def __neg__(self) -> "LaurentQ":
@@ -283,6 +287,8 @@ class TruncatedPoly:
         return self.n == other.n and self.coeffs == other.coeffs
 
     def __hash__(self):
+        if not any(self.coeffs[1:]):  # a constant hashes like its int
+            return hash(self.coeffs[0])
         return hash((self.n, self.coeffs))
 
     def __neg__(self) -> "TruncatedPoly":

@@ -24,6 +24,18 @@ genuinely non-confluent.)  Confluence of the chosen orientation is still
 not proven here; ``fuzz_confluence`` compares two reduction strategies on
 random words and reports any disagreement instead of repairing it.
 
+Normal forms come from one engine, the letter-append product
+``_NormalProduct``: the product of two normal forms feeds the letters of
+the right factor one at a time into the normal terms of the left one.
+A normal word with one letter appended can hold a redex only at the
+junction, and each rewrite can create redexes only next to the pair it
+replaced, so the redex search never rescans a word.  ``normal_form``
+folds each word from the empty word, and ``nc reduce`` forms every
+product of its expression this way, so the free product is never
+expanded.  ``_reduce``, the pair rewriter under a caller-chosen redex
+strategy, remains for the strategy comparisons of ``fuzz_confluence``,
+``exhaustive_pair_check`` and ``verify_defining_relations``.
+
 Internally a word is a tuple of integer codes (for ambient ``n``: starred
 index i is code i, unstarred index i is code n+1+i), so the canonical
 generator order is plain integer order.  The ``Generator`` named tuple is
@@ -90,6 +102,16 @@ def _render_word(word: tuple[int, ...], n: int) -> str:
     return "*".join(str(_decode(c, n)) for c in word)
 
 
+def _merge(terms: dict, word: tuple[int, ...], coeff: LaurentQ) -> None:
+    """Add ``coeff`` to the coefficient of ``word``, dropping a zero sum."""
+    s = terms.get(word)
+    s = coeff if s is None else s + coeff
+    if s:
+        terms[word] = s
+    else:
+        terms.pop(word, None)
+
+
 class NCPoly:
     """A formal sum of words in the sphere generators over ``Z[q, q^-1]``.
 
@@ -152,11 +174,7 @@ class NCPoly:
         for coeff, gens in terms:
             word = tuple(_encode(g, n) for g in gens)
             coeff = coeff if isinstance(coeff, LaurentQ) else LaurentQ.from_int(coeff)
-            s = acc.get(word, LaurentQ.zero()) + coeff
-            if s:
-                acc[word] = s
-            else:
-                acc.pop(word, None)
+            _merge(acc, word, coeff)
         return cls._raw(n, acc)
 
     # -- inspection ------------------------------------------------------
@@ -188,6 +206,8 @@ class NCPoly:
         return self.n == other.n and self._terms == other._terms
 
     def __hash__(self):
+        if not self._terms.keys() - {()}:  # a scalar hashes like its LaurentQ
+            return hash(self._terms.get((), LaurentQ.zero()))
         return hash((self.n, frozenset(self._terms.items())))
 
     # -- ring operations --------------------------------------------------
@@ -207,12 +227,7 @@ class NCPoly:
             return NotImplemented
         merged = dict(self._terms)
         for word, coeff in other._terms.items():
-            s = merged.get(word)
-            s = coeff if s is None else s + coeff
-            if s:
-                merged[word] = s
-            else:
-                merged.pop(word, None)
+            _merge(merged, word, coeff)
         return NCPoly._raw(self.n, merged)
 
     __radd__ = __add__
@@ -239,14 +254,7 @@ class NCPoly:
         prod: dict[tuple[int, ...], LaurentQ] = {}
         for w1, c1 in self._terms.items():
             for w2, c2 in other._terms.items():
-                word = w1 + w2
-                c = c1 * c2
-                s = prod.get(word)
-                s = c if s is None else s + c
-                if s:
-                    prod[word] = s
-                else:
-                    prod.pop(word, None)
+                _merge(prod, w1 + w2, c1 * c2)
         return NCPoly._raw(self.n, prod)
 
     def __rmul__(self, other):
@@ -305,7 +313,7 @@ class NCPoly:
         return out
 
     def normal_form(self, rules: frozenset = ALL_RULES, step_cap: int | None = None):
-        """Reduce to the fixed point of the oriented rules, leftmost first."""
+        """Reduce to the fixed point of the oriented rules; see ``normal_form``."""
         return normal_form(self, rules=rules, step_cap=step_cap)
 
     # -- rendering ----------------------------------------------------------
@@ -353,55 +361,45 @@ class NCPoly:
 
 
 @lru_cache(maxsize=None)
-def _rule_constants(n: int):
-    q = LaurentQ.q_power(1)
-    q_inv = LaurentQ.q_power(-1)
-    reorder = LaurentQ({-2: 1, 0: -1})  # q^-2 - 1
-    one = LaurentQ.one()
-    # R4 coefficients: -q^-2k on z*_k z_k for k = 1..n
-    r4 = [LaurentQ.q_power(-2 * k, -1) for k in range(1, n + 1)]
-    return q, q_inv, reorder, one, r4
-
-
-def _redex_rule(a: int, b: int, shift: int) -> str | None:
-    """Which rule, if any, rewrites the adjacent pair (a, b) of codes."""
-    if a >= shift:
-        if b >= shift:
-            return "R1" if a > b else None
-        return "R3" if a - shift == b else "R2"
-    if b < shift:
-        return "R1" if a < b else None
-    return "R4" if a == 0 and b == shift else None
-
-
-def _apply_rule(rule: str, a: int, b: int, n: int):
-    """Replacement terms for the pair (a, b): list of (factor, subword)."""
+def _rewrite_table(n: int, rules: frozenset) -> dict:
+    """Replacement terms ``((factor, subword), ...)`` of every redex pair
+    ``(a, b)`` of codes under ``rules``."""
+    unknown = rules - ALL_RULES
+    if unknown:
+        raise ValueError(f"unknown rules: {sorted(unknown)}")
     shift = n + 1
-    q, q_inv, reorder, one, r4 = _rule_constants(n)
-    if rule == "R1":
-        return [(q_inv, (b, a))]
-    if rule == "R2":
-        return [(q, (b, a))]
-    if rule == "R3":
-        i = b
-        out = [(one, (i, shift + i))]
-        for m in range(i + 1, n + 1):
-            out.append((reorder, (shift + m, m)))
-        return out
-    # R4
-    out = [(one, ())]
-    for k in range(1, n + 1):
-        out.append((r4[k - 1], (k, shift + k)))
-    return out
+    one = LaurentQ.one()
+    reorder = LaurentQ({-2: 1, 0: -1})  # q^-2 - 1
+    swap = {"R1": LaurentQ.q_power(-1), "R2": LaurentQ.q_power(1)}
+    table = {}
+    for a, b in product(range(2 * shift), repeat=2):
+        if a >= shift:
+            if b >= shift:
+                rule = "R1" if a > b else None
+            else:
+                rule = "R3" if a - shift == b else "R2"
+        elif b < shift:
+            rule = "R1" if a < b else None
+        else:
+            rule = "R4" if a == 0 and b == shift else None
+        if rule not in rules:
+            continue
+        if rule == "R3":
+            terms = [(one, (b, a))]
+            terms += [(reorder, (shift + m, m)) for m in range(b + 1, shift)]
+        elif rule == "R4":
+            terms = [(one, ())]
+            terms += [(LaurentQ.q_power(-2 * k, -1), (k, shift + k)) for k in range(1, shift)]
+        else:
+            terms = [(swap[rule], (b, a))]
+        table[a, b] = tuple(terms)
+    return table
 
 
-def _find_redexes(word: tuple[int, ...], shift: int, rules: frozenset):
-    found = []
-    for p in range(len(word) - 1):
-        rule = _redex_rule(word[p], word[p + 1], shift)
-        if rule is not None and rule in rules:
-            found.append((p, rule))
-    return found
+def _over_budget(step_cap: int) -> StepBudgetExceeded:
+    return StepBudgetExceeded(
+        f"exceeded {step_cap} rewrite steps (set {STEP_CAP_ENV} to raise the cap)"
+    )
 
 
 def _reduce(
@@ -413,11 +411,12 @@ def _reduce(
 ) -> tuple[dict, int]:
     """Drive a term multiset to normal form under a redex-picking strategy.
 
-    Equal words are merged as they appear; this is sound because reduction
-    is linear over words.  Returns the normal terms and the number of rule
-    applications performed.
+    ``pick`` chooses one position from the list of every redex position of
+    a word.  Equal words are merged as they appear; this is sound because
+    reduction is linear over words.  Returns the normal terms and the
+    number of rule applications performed.
     """
-    shift = n + 1
+    table = _rewrite_table(n, frozenset(rules))
     pending = dict(terms)
     done: dict[tuple[int, ...], LaurentQ] = {}
     steps = 0
@@ -425,32 +424,18 @@ def _reduce(
         word, coeff = pending.popitem()
         if not coeff:
             continue
-        redexes = _find_redexes(word, shift, rules)
+        redexes = [p for p in range(len(word) - 1) if (word[p], word[p + 1]) in table]
         if not redexes:
-            s = done.get(word)
-            s = coeff if s is None else s + coeff
-            if s:
-                done[word] = s
-            else:
-                done.pop(word, None)
+            _merge(done, word, coeff)
             continue
-        pos, rule = pick(redexes)
+        pos = pick(redexes)
         steps += 1
         if steps > step_cap:
-            raise StepBudgetExceeded(
-                f"exceeded {step_cap} rewrite steps (set {STEP_CAP_ENV} to raise the cap)"
-            )
+            raise _over_budget(step_cap)
         head = word[:pos]
         tail = word[pos + 2 :]
-        for factor, repl in _apply_rule(rule, word[pos], word[pos + 1], n):
-            new_word = head + repl + tail
-            new_coeff = coeff * factor
-            s = pending.get(new_word)
-            s = new_coeff if s is None else s + new_coeff
-            if s:
-                pending[new_word] = s
-            else:
-                pending.pop(new_word, None)
+        for factor, repl in table[word[pos], word[pos + 1]]:
+            _merge(pending, head + repl + tail, coeff * factor)
     return done, steps
 
 
@@ -458,25 +443,110 @@ def _leftmost(redexes):
     return min(redexes)
 
 
+class _NormalProduct:
+    """The normal-form product ``nf(left * right)`` for normal ``left``.
+
+    The letters of each word of ``right`` are appended one at a time to
+    the normal terms built so far.  Appending to a normal word can only
+    create a redex at the junction, and a rewrite at pair ``p`` can only
+    create redexes at the pairs it touched: ``p-1 .. p+1`` after a
+    two-letter replacement, ``p-1`` after R4's empty one.  Each pending
+    word therefore carries an interval of pair positions holding all its
+    redexes: the junction at first, then after a rewrite at the leftmost
+    redex ``p`` the span from ``p-1`` to the farther of the touched pairs
+    and the old interval's end.  The leftmost redex is looked for only
+    there.  Equal words are merged after every letter.  Once the junction
+    of a normal term holds no redex and the rest of the right word is
+    normal, the term takes that rest in one concatenation.
+
+    One instance is one computation: every rewrite of every product it
+    forms counts against the same step budget.
+    """
+
+    def __init__(self, n: int, rules: frozenset = ALL_RULES, step_cap: int | None = None):
+        self.n = n
+        self.table = _rewrite_table(n, frozenset(rules))
+        self.cap = _step_cap() if step_cap is None else step_cap
+        self.steps = 0
+
+    def __call__(self, left: NCPoly, right: NCPoly) -> NCPoly:
+        table = self.table
+        out: dict[tuple[int, ...], LaurentQ] = {}
+        for word, coeff in right._terms.items():
+            # word[normal_from:] holds no redex
+            normal_from = len(word) - 1
+            while normal_from > 0 and (word[normal_from - 1], word[normal_from]) not in table:
+                normal_from -= 1
+            heads = {w: c * coeff for w, c in left._terms.items()}
+            for j, x in enumerate(word):
+                pending, grown = {}, {}
+                for w, c in heads.items():
+                    if w and (w[-1], x) in table:
+                        pos = len(w) - 1
+                        pending[w + (x,)] = [c, pos, pos]
+                    elif j >= normal_from:
+                        _merge(out, w + word[j:], c)
+                    else:
+                        _merge(grown, w + (x,), c)
+                heads = self._settle(pending, grown)
+                if not heads:
+                    break
+            else:
+                for w, c in heads.items():
+                    _merge(out, w, c)
+        return NCPoly._raw(self.n, out)
+
+    def _settle(self, pending: dict, done: dict) -> dict:
+        """Rewrite ``pending`` words to normal form, merging them into ``done``.
+
+        A pending word maps to ``[coefficient, lo, hi]``: every redex of
+        the word lies at a pair position in ``lo .. hi``.
+        """
+        table = self.table
+        while pending:
+            word, (coeff, lo, hi) = pending.popitem()
+            hi = min(hi, len(word) - 2)
+            pos = lo
+            while pos <= hi and (word[pos], word[pos + 1]) not in table:
+                pos += 1
+            if pos > hi:
+                _merge(done, word, coeff)
+                continue
+            self.steps += 1
+            if self.steps > self.cap:
+                raise _over_budget(self.cap)
+            head = word[:pos]
+            tail = word[pos + 2 :]
+            lo = max(pos - 1, 0)
+            for factor, repl in table[word[pos], word[pos + 1]]:
+                # R4's empty replacement shifts the pairs right of it by two
+                new_hi = max(pos + 1, hi) if repl else max(pos - 1, hi - 2)
+                new_word = head + repl + tail
+                new_coeff = coeff * factor
+                entry = pending.get(new_word)
+                if entry is None:
+                    pending[new_word] = [new_coeff, lo, new_hi]
+                else:  # either window holds every redex of the word
+                    entry[0] = entry[0] + new_coeff
+                    if not entry[0]:
+                        del pending[new_word]
+        return done
+
+
 def normal_form(
     p: NCPoly,
     rules: frozenset = ALL_RULES,
     step_cap: int | None = None,
 ) -> NCPoly:
-    """Normal form under the oriented relations, leftmost-innermost strategy.
+    """Normal form under the oriented relations.
 
-    ``rules`` may be restricted (for example to R1-R3) to study the system
-    itself; the default is the full set.  Raises ``StepBudgetExceeded`` when
-    the per-call budget (default 10^6, override via ``QCPN_STEP_CAP``) runs
-    out.
+    Each word of ``p`` is folded letter by letter from the empty word by
+    the normal-form product.  ``rules`` may be restricted (for example to
+    R1-R3) to study the system itself; the default is the full set.
+    Raises ``StepBudgetExceeded`` when the per-call budget (default 10^6,
+    override via ``QCPN_STEP_CAP``) runs out.
     """
-    rules = frozenset(rules)
-    unknown = rules - ALL_RULES
-    if unknown:
-        raise ValueError(f"unknown rules: {sorted(unknown)}")
-    cap = _step_cap() if step_cap is None else step_cap
-    terms, _ = _reduce(p._terms, p.n, _leftmost, rules, cap)
-    return NCPoly._raw(p.n, terms)
+    return _NormalProduct(p.n, rules, step_cap)(NCPoly.one(p.n), p)
 
 
 def project_to_s3(p: NCPoly) -> NCPoly:
@@ -498,15 +568,8 @@ def project_to_s3(p: NCPoly) -> NCPoly:
                 image = None
                 break
             image.append(idx if starred else 2 + idx)
-        if image is None:
-            continue
-        key = tuple(image)
-        s = out.get(key)
-        s = coeff if s is None else s + coeff
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
+        if image is not None:
+            _merge(out, tuple(image), coeff)
     return normal_form(NCPoly._raw(1, out))
 
 

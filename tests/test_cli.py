@@ -11,7 +11,8 @@ import pytest
 
 from qcpn.basis import certify_basis
 from qcpn.cli import run
-from qcpn.ncparse import MAX_NESTING
+from qcpn.ncparse import MAX_NESTING, parse_expr
+from qcpn.sphere import ALL_RULES, NCPoly, _leftmost, _reduce, normal_form
 
 
 def load_schema():
@@ -207,6 +208,41 @@ class TestNC:
         monkeypatch.setenv("QCPN_STEP_CAP", "1")
         code, _, err = invoke(capsys, "nc", "reduce", "--n", "2", "--expr", "z0*z0s")
         assert code == 1 and "QCPN_STEP_CAP" in err
+
+    def test_step_cap_spans_the_whole_expression(self, capsys, monkeypatch):
+        monkeypatch.setenv("QCPN_STEP_CAP", "1")
+        for single in ("z1*z0", "z0s*z1s"):  # one rewrite step each
+            assert invoke(capsys, "nc", "reduce", "--n", "1", "--expr", single)[0] == 0
+        code, out, err = invoke(capsys, "nc", "reduce", "--n", "1", "--expr", "z1*z0 + z0s*z1s")
+        assert code == 1 and out == ""
+        assert err == "error: exceeded 1 rewrite steps (set QCPN_STEP_CAP to raise the cap)\n"
+
+    def test_reduce_sphere_sum_power(self, capsys):
+        # the free expansion has 3^12 words; expanding it first ran out of steps
+        env = invoke_json(capsys, "nc", "reduce", "--n", "2", "--expr", "(z0*z0s+z1*z1s+z2*z2s)^6")
+        assert env["result"] == {"normal_form": "1", "degree": 0}
+
+    def test_reduce_power_matches_pair_rewriting(self, capsys):
+        env = invoke_json(capsys, "nc", "reduce", "--n", "1", "--expr", "(z0+z0s)^12")
+        half = normal_form(parse_expr("(z0+z0s)^6", 1))
+        terms, _ = _reduce((half * half)._terms, 1, _leftmost, ALL_RULES, 10**7)
+        assert env["result"]["normal_form"] == str(NCPoly(1, terms))
+
+    def test_degree_is_of_the_unreduced_input(self, capsys):
+        expr = "z0*z1 - q*z1*z0 + 1"
+        env = invoke_json(capsys, "nc", "degree", "--n", "1", "--expr", expr)
+        assert env["result"] == {"degree": "inhomogeneous"}
+        env = invoke_json(capsys, "nc", "reduce", "--n", "1", "--expr", expr)
+        assert env["result"] == {"normal_form": "1", "degree": 0}
+
+    def test_negative_power_of_a_reduced_scalar(self, capsys):
+        # the sphere sum is 1 in the algebra, so reduce inverts it;
+        # degree sees the free two-word sum and rejects the power
+        expr = "(z0*z0s + z1*z1s)^-1"
+        env = invoke_json(capsys, "nc", "reduce", "--n", "1", "--expr", expr)
+        assert env["result"] == {"normal_form": "1", "degree": 0}
+        code, _, err = invoke(capsys, "nc", "degree", "--n", "1", "--expr", expr)
+        assert code == 1 and "non-scalar factor" in err
 
 
 class TestEnvelope:

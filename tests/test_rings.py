@@ -3,12 +3,14 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from qcpn.kclasses import line_class
 from qcpn.rings import (
     LaurentQ,
     NotInvertibleError,
     TruncatedPoly,
     TruncationMismatchError,
 )
+from qcpn.sphere import NCPoly
 
 
 def laurents(max_coeff=50):
@@ -200,3 +202,20 @@ class TestTruncatedPoly:
     def test_negative_pow_rejected(self):
         with pytest.raises(ValueError):
             TruncatedPoly(2, (1, 1)) ** -1
+
+
+class TestHashAgreesWithEquality:
+    """A constant compares equal to its int (and an NCPoly scalar to its
+    LaurentQ), so it must hash like it too."""
+
+    def test_constants_meet_ints_in_sets_and_dicts(self):
+        assert len({line_class(2, 0), 1}) == 1
+        assert {1: "a"}.get(LaurentQ.one()) == "a"
+        assert hash(NCPoly.scalar(1, 3)) == hash(3)
+
+    @given(st.integers(-10**30, 10**30), st.integers(0, 5))
+    def test_constants(self, c, n):
+        for x in (LaurentQ.from_int(c), TruncatedPoly(n, (c,)), NCPoly.scalar(n, c)):
+            assert x == c and hash(x) == hash(c)
+        q2 = LaurentQ.q_power(2, c)
+        assert NCPoly.scalar(n, q2) == q2 and hash(NCPoly.scalar(n, q2)) == hash(q2)

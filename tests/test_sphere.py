@@ -12,6 +12,7 @@ Independent oracles used here:
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +23,9 @@ from qcpn.sphere import (
     Generator,
     NCPoly,
     StepBudgetExceeded,
+    _leftmost,
+    _NormalProduct,
+    _reduce,
     defining_relations,
     exhaustive_pair_check,
     fuzz_confluence,
@@ -46,8 +50,8 @@ def word_poly(n, letters):
 
 
 @st.composite
-def nc_polys(draw, max_n=3, max_words=3, max_len=4):
-    n = draw(st.integers(1, max_n))
+def nc_polys(draw, max_n=3, max_words=3, max_len=4, min_n=1):
+    n = draw(st.integers(min_n, max_n))
     terms = []
     for _ in range(draw(st.integers(1, max_words))):
         letters = draw(
@@ -150,6 +154,56 @@ class TestRuleExamples:
     def test_sphere_sum_collapses(self):
         for n in range(1, 5):
             assert normal_form(sphere_sum(n)) == NCPoly.one(n)
+
+
+@st.composite
+def nc_poly_pairs(draw):
+    a = draw(nc_polys())
+    return a, draw(nc_polys(min_n=a.n, max_n=a.n))
+
+
+class TestEngines:
+    """The letter-append product against the pair rewriter ``_reduce``."""
+
+    @pytest.mark.parametrize("rules", [ALL_RULES, R123], ids=["R1-R4", "R1-R3"])
+    @pytest.mark.parametrize("n, max_len", [(1, 6), (2, 4)])
+    def test_every_short_word_matches_leftmost_rewriting(self, n, max_len, rules):
+        for length in range(max_len + 1):
+            for word in product(range(2 * n + 2), repeat=length):
+                start = {word: LaurentQ.one()}
+                expected, _ = _reduce(start, n, _leftmost, rules, 10**6)
+                got = normal_form(NCPoly(n, start), rules=rules)
+                assert got == NCPoly(n, expected), word
+
+    @given(nc_poly_pairs())
+    def test_reducing_factors_first_changes_nothing(self, pair):
+        a, b = pair
+        nf_a, nf_b = normal_form(a), normal_form(b)
+        assert normal_form(a * b) == normal_form(nf_a * nf_b)
+        assert _NormalProduct(a.n)(nf_a, nf_b) == normal_form(a * b)
+
+    def test_unreduced_right_factors(self):
+        # each factor is the free sphere sum; its words are redexes themselves
+        for n, k in ((1, 10), (2, 6), (3, 5)):
+            mul = _NormalProduct(n)
+            acc = NCPoly.one(n)
+            for _ in range(k):
+                acc = mul(acc, sphere_sum(n))
+            assert acc == NCPoly.one(n)
+
+    def test_budget_spans_every_product(self):
+        swap = word_poly(1, [(1, False), (0, False)])  # one R1 step
+        z1, z0 = gen(1, 1), gen(1, 0)
+        mul = _NormalProduct(1, step_cap=2)
+        assert mul(z1, z0) == normal_form(swap)
+        assert mul(z1, z0) == normal_form(swap)
+        with pytest.raises(StepBudgetExceeded, match="exceeded 2 rewrite steps"):
+            mul(z1, z0)
+
+    def test_normal_right_factor_is_appended_whole(self):
+        long = gen(1, 0) ** 3000
+        mul = _NormalProduct(1, step_cap=0)
+        assert mul(long, long) == gen(1, 0) ** 6000
 
 
 class TestJunctionDerivation:

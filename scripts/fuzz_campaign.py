@@ -52,8 +52,8 @@ def parse_args(argv: list[str] | None = None) -> FuzzConfig:
     args = parser.parse_args(argv)
     if args.min_n < 1 or args.max_n < args.min_n:
         parser.error("need 1 <= min-n <= max-n")
-    if args.trials < 1 or args.max_len < 1:
-        parser.error("need positive --trials and --max-len")
+    if args.trials < 1 or args.max_len < 2:
+        parser.error("need positive --trials and --max-len >= 2")
     return FuzzConfig(
         min_n=args.min_n,
         max_n=args.max_n,

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from itertools import islice
 
 from . import __version__
@@ -182,6 +183,7 @@ def _add_class_selector(parser: argparse.ArgumentParser, with_basis: bool):
     )
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qcpn",

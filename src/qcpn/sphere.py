@@ -692,6 +692,8 @@ def fuzz_confluence(
     """
     if max_len < 2:
         raise ValueError("max_len must be at least 2")
+    if trials < 0:
+        raise ValueError("trials must be non-negative")
     cap = _step_cap() if step_cap is None else step_cap
     rng = random.Random(seed)
     report = ReductionReport(words=trials)

@@ -55,6 +55,40 @@ def fraction_gauss_jordan(matrix):
     return det, inverse
 
 
+def is_identity_product(a, b):
+    """Oracle: is the plain triple-loop product ``a b`` the identity?"""
+    size = len(a)
+    if len(b) != size or any(len(r) != size for r in (*a, *b)):
+        return False
+    return all(
+        sum(a[i][k] * b[k][j] for k in range(size)) == int(i == j)
+        for i in range(size)
+        for j in range(size)
+    )
+
+
+def slot_width(matrix, inverse):
+    """The width ``w`` of the packed check: ``2^(w-1) > max(1, size |M| |N|)``."""
+    top = [max(abs(x) for row in m for x in row) for m in (matrix, inverse)]
+    return max(1, len(inverse) * top[0] * top[1]).bit_length() + 1
+
+
+def packed_rows_match(matrix, inverse, w):
+    """Does ``matrix`` times ``inverse`` packed at slot width ``w`` read as I?"""
+    packed = [sum(x << (j * w) for j, x in enumerate(row)) for row in inverse]
+    return all(
+        sum(x * r for x, r in zip(row, packed)) == 1 << (i * w)
+        for i, row in enumerate(matrix)
+    )
+
+
+def with_inverse(cert, inverse):
+    return BasisCertificate(
+        n=cert.n, matrix=cert.matrix, det=cert.det,
+        inverse=tuple(tuple(row) for row in inverse),
+    )
+
+
 def random_unimodular(rng, size, ops=25):
     """Integer matrix of determinant +-1 built from elementary operations."""
     m = [[int(i == j) for j in range(size)] for i in range(size)]
@@ -263,7 +297,64 @@ class TestCertificates:
         bad = BasisCertificate(
             n=3, matrix=cert.matrix, det=cert.det, inverse=cert.matrix
         )
+        assert not is_identity_product(bad.matrix, bad.inverse)
         assert not bad.verify()
+
+    def test_verify_agrees_with_triple_loop(self):
+        for n in range(1, 41):
+            cert = certify_basis(n)
+            assert is_identity_product(cert.matrix, cert.inverse), n
+            assert cert.verify(), n
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 40])
+    def test_verify_rejects_inverse_entry_off_by_one(self, n):
+        cert = certify_basis(n)
+        size = n + 1
+        cells = [(i, j) for i in range(size) for j in range(size)]
+        if size > 6:
+            cells = random.Random(n).sample(cells, 36)
+        for i, j in cells:
+            for delta in (1, -1):
+                inv = [list(row) for row in cert.inverse]
+                inv[i][j] += delta
+                bad = with_inverse(cert, inv)
+                assert not is_identity_product(bad.matrix, bad.inverse)
+                assert not bad.verify(), (n, i, j, delta)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 9, 30])
+    def test_verify_rejects_cancelling_carry(self, n):
+        # M (N + N X) = I + X with X = 2^u at (i, j) and -1 at (i, j+1): packed
+        # at slot width u, the carry out of slot j cancels the -1 in slot j+1.
+        cert = certify_basis(n)
+        size = n + 1
+        w = slot_width(cert.matrix, cert.inverse)
+        cells = [(i, j) for i in range(size) for j in range(size - 1)]
+        if size > 6:
+            cells = random.Random(n).sample(cells, 30)
+        for u in (w - 1, w):
+            for i, j in cells:
+                inv = [list(row) for row in cert.inverse]
+                for k in range(size):
+                    inv[k][j] += cert.inverse[k][i] << u
+                    inv[k][j + 1] -= cert.inverse[k][i]
+                bad = with_inverse(cert, inv)
+                assert packed_rows_match(bad.matrix, bad.inverse, u)
+                assert not is_identity_product(bad.matrix, bad.inverse)
+                assert not bad.verify(), (n, u, i, j)
+
+    def test_verify_rejects_zero_inverse(self):
+        for n in (1, 2, 7):
+            cert = certify_basis(n)
+            bad = with_inverse(cert, [[0] * (n + 1) for _ in range(n + 1)])
+            assert not is_identity_product(bad.matrix, bad.inverse)
+            assert not bad.verify()
+
+    def test_verify_requires_unit_determinant(self):
+        cert = certify_basis(4)
+        for det in (0, 2, -3):
+            assert not BasisCertificate(
+                n=4, matrix=cert.matrix, det=det, inverse=cert.inverse
+            ).verify()
 
     def test_coordinates_of_tautological(self):
         cert = certify_basis(3)

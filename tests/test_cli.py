@@ -10,7 +10,7 @@ import jsonschema
 import pytest
 
 from qcpn.basis import certify_basis
-from qcpn.cli import run
+from qcpn.cli import build_parser, run
 from qcpn.ncparse import MAX_NESTING, parse_expr
 from qcpn.sphere import ALL_RULES, NCPoly, _leftmost, _reduce, normal_form
 
@@ -181,6 +181,11 @@ class TestNC:
         assert env["result"]["passed"] is True
         assert env["result"]["words"] == 50
 
+    def test_fuzz_rejects_negative_trials(self, capsys):
+        code, out, err = invoke(capsys, "nc", "fuzz", "--n", "1", "--max-len", "3",
+                                "--trials", "-5", "--seed", "1")
+        assert (code, out, err) == (1, "", "error: trials must be non-negative\n")
+
     def test_relations_report(self, capsys):
         env = invoke_json(capsys, "nc", "relations", "--n", "2")
         assert env["result"]["passed"] is True
@@ -302,6 +307,40 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             run(["kbasis"])
         assert exc.value.code == 2
+
+    def test_parser_built_once_per_process(self, capsys):
+        sequence = [
+            ["--help"],
+            ["kbasis", "--n", "3"],
+            ["--version"],
+            ["kbasis"],
+            ["kbasis", "--n", "0"],
+            ["kclass", "line", "--help"],
+            ["pair", "--n", "2", "--line", "-1"],
+            ["nc", "reduce", "--n", "1", "--expr", "z0s*z0"],
+            ["nc", "fuzz", "--n", "1", "--max-len", "3", "--trials", "-5", "--seed", "1"],
+            ["restrict", "--n", "3", "--target", "1", "--coeffs", "1,2,3,4", "--format", "csv"],
+            ["frobnicate"],
+            ["kbasis", "--n", "3"],
+        ]
+
+        def outcome(argv):
+            try:
+                code = run(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        warm = [outcome(argv) for argv in sequence]
+        assert build_parser() is build_parser()
+        fresh = []
+        for argv in sequence:
+            build_parser.cache_clear()
+            fresh.append(outcome(argv))
+        assert warm == fresh
+        assert [code for code, _, _ in warm] == [0, 0, 0, 2, 1, 0, 0, 0, 1, 0, 2, 0]
+        assert warm[1] == warm[-1]
 
     def test_module_entry_point(self):
         out = subprocess.run(

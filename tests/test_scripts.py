@@ -79,3 +79,10 @@ class TestFuzzCampaign:
         assert code == 1
         assert lines[0].startswith("n=1  exhaustive  FAIL  exceeded 1 rewrite steps")
         assert lines[-1].endswith(": 2 report(s) with mismatches")
+
+    @pytest.mark.parametrize("max_len", ["1", "0"])
+    def test_short_max_len_is_a_usage_error(self, fuzz_campaign, capsys, max_len):
+        with pytest.raises(SystemExit) as exc:
+            fuzz_campaign.parse_args(["--max-len", max_len])
+        assert exc.value.code == 2
+        assert "--max-len >= 2" in capsys.readouterr().err

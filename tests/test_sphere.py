@@ -369,6 +369,11 @@ class TestFuzz:
         with pytest.raises(ValueError):
             fuzz_confluence(2, 1, 10, seed=0)
 
+    def test_trials_validated(self):
+        with pytest.raises(ValueError, match="trials must be non-negative"):
+            fuzz_confluence(1, 3, -5, seed=1)
+        assert fuzz_confluence(1, 3, 0, seed=1).as_dict()["words"] == 0
+
     def test_report_serialization(self):
         d = fuzz_confluence(1, 3, 5, seed=0).as_dict()
         assert set(d) == {"words", "max_steps", "mismatches", "passed"}

@@ -19,23 +19,11 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 
 from qcpn.sphere import StepBudgetExceeded, exhaustive_pair_check, fuzz_confluence
 
 
-@dataclass(frozen=True)
-class FuzzConfig:
-    min_n: int = 1
-    max_n: int = 4
-    trials: int = 10_000
-    max_len: int = 6
-    seed: int = 42
-    exhaustive_max_n: int = 2
-    step_cap: int | None = None
-
-
-def parse_args(argv: list[str] | None = None) -> FuzzConfig:
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--min-n", type=int, default=1)
     parser.add_argument("--max-n", type=int, default=4)
@@ -54,52 +42,37 @@ def parse_args(argv: list[str] | None = None) -> FuzzConfig:
         parser.error("need 1 <= min-n <= max-n")
     if args.trials < 1 or args.max_len < 2:
         parser.error("need positive --trials and --max-len >= 2")
-    return FuzzConfig(
-        min_n=args.min_n,
-        max_n=args.max_n,
-        trials=args.trials,
-        max_len=args.max_len,
-        seed=args.seed,
-        exhaustive_max_n=args.exhaustive_max_n,
-        step_cap=args.step_cap,
-    )
+    return args
 
 
-def run(config: FuzzConfig) -> int:
+def _report(head: str, rep, tail: str = "") -> bool:
+    """Print one report line and its first mismatches; True if it passed."""
+    verdict = "OK" if rep.passed else "MISMATCH"
+    print(f"{head}  {rep.words:6d} words  max {rep.max_steps:5d} steps  {verdict}{tail}")
+    for word, left, right in rep.mismatches[:3]:
+        print(f"    {word}:  leftmost -> {left}  |  random -> {right}")
+    return rep.passed
+
+
+def run(args: argparse.Namespace) -> int:
     failures = 0
     start = time.perf_counter()
-    for n in range(config.min_n, min(config.max_n, config.exhaustive_max_n) + 1):
+    for n in range(args.min_n, min(args.max_n, args.exhaustive_max_n) + 1):
         try:
-            rep = exhaustive_pair_check(n, step_cap=config.step_cap)
+            rep = exhaustive_pair_check(n, step_cap=args.step_cap)
         except StepBudgetExceeded as exc:
             print(f"n={n}  exhaustive  FAIL  {exc}")
             failures += 1
             continue
-        verdict = "OK" if rep.passed else "MISMATCH"
-        print(f"n={n}  exhaustive  {rep.words:6d} words  max {rep.max_steps:5d} steps  {verdict}")
-        if not rep.passed:
+        if not _report(f"n={n}  exhaustive", rep):
             failures += 1
-            for word, left, right in rep.mismatches[:3]:
-                print(f"    {word}:  leftmost -> {left}  |  random -> {right}")
-    for n in range(config.min_n, config.max_n + 1):
+    for n in range(args.min_n, args.max_n + 1):
         t0 = time.perf_counter()
         rep = fuzz_confluence(
-            n,
-            max_len=config.max_len,
-            trials=config.trials,
-            seed=config.seed,
-            step_cap=config.step_cap,
+            n, max_len=args.max_len, trials=args.trials, seed=args.seed, step_cap=args.step_cap
         )
-        dt = time.perf_counter() - t0
-        verdict = "OK" if rep.passed else "MISMATCH"
-        print(
-            f"n={n}  fuzz        {rep.words:6d} words  max {rep.max_steps:5d} steps  "
-            f"{verdict}  ({dt:.2f}s)"
-        )
-        if not rep.passed:
+        if not _report(f"n={n}  fuzz      ", rep, f"  ({time.perf_counter() - t0:.2f}s)"):
             failures += 1
-            for word, left, right in rep.mismatches[:3]:
-                print(f"    {word}:  leftmost -> {left}  |  random -> {right}")
     total = time.perf_counter() - start
     status = "all strategies agree" if failures == 0 else f"{failures} report(s) with mismatches"
     print(f"campaign finished in {total:.2f}s: {status}")

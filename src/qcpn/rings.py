@@ -9,6 +9,11 @@ Two scalar domains, both with arbitrary-precision integer coefficients:
 * ``TruncatedPoly`` -- the commutative ring ``Z[t] / t^(n+1)``.  Elements
   carry their truncation order ``n`` and never mix different orders.
 
+Both, and ``sphere.NCPoly``, derive their operators from ``_Ring``, the one
+place that decides how an ``int`` meets an element, how ``-``, ``==``,
+truth and ``**`` follow from ``+``, unary ``-`` and ``*``, and how an
+element is written as a signed sum of monomials.
+
 No floating point is used anywhere; Python integers are exact at any size.
 """
 
@@ -44,7 +49,79 @@ def binary_power(base, e: int, one, mul=_times):
     return acc
 
 
-class LaurentQ:
+def _monomial(c: int, var: str, e: int) -> str:
+    """Unsigned text of ``|c| * var^e``: ``3``, ``q``, ``2*q^-1``, ``t^2``."""
+    if e == 0:
+        return str(abs(c))
+    power = var if e == 1 else f"{var}^{e}"
+    return power if abs(c) == 1 else f"{abs(c)}*{power}"
+
+
+def _signed_sum(bodies) -> str:
+    """Join ``(c, text)`` pairs as ``a - b + c``, each signed by ``c``; ``0`` if none."""
+    parts = []
+    for c, body in bodies:
+        if parts:
+            parts.append(f"- {body}" if c < 0 else f"+ {body}")
+        else:
+            parts.append(f"-{body}" if c < 0 else body)
+    return " ".join(parts) if parts else "0"
+
+
+class _Ring:
+    """Operators that every exact ring element here derives the same way.
+
+    A subclass supplies ``_constant(c)`` (the constant element ``c`` of
+    this element's ring, or None when ``c`` is not a constant it knows),
+    ``_key()`` (structural identity), ``is_zero``, ``__add__``, ``__neg__``,
+    ``__mul__`` and ``__hash__``.  Elements that carry an order ``n`` set
+    ``_mismatch`` to the error type and wording raised when two orders
+    meet in arithmetic; ``==`` across orders is plain ``False``.
+    ``_negative_power`` is the error type and message of ``x ** -k``.
+    """
+
+    __slots__ = ()
+    _mismatch = None
+
+    def _coerce(self, other):
+        """``other`` in this element's ring, or None for a foreign type."""
+        if isinstance(other, type(self)):
+            if self._mismatch and other.n != self.n:
+                error, what = self._mismatch
+                raise error(f"mixed {what} {self.n} and {other.n}")
+            return other
+        return self._constant(other)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            other = self._constant(other)
+            if other is None:
+                return NotImplemented
+        return self._key() == other._key()
+
+    def __bool__(self) -> bool:
+        return not self.is_zero()
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other + (-self)
+
+    def __pow__(self, e: int):
+        if e < 0:
+            error, message = self._negative_power
+            raise error(message)
+        return binary_power(self, e, self._constant(1))
+
+
+class LaurentQ(_Ring):
     """A Laurent polynomial ``sum_e c_e * q^e`` with integer coefficients.
 
     Stored as a map from exponent to coefficient with no explicit zeros,
@@ -54,6 +131,7 @@ class LaurentQ:
     """
 
     __slots__ = ("_terms",)
+    _negative_power = NotInvertibleError, "negative powers of a general Laurent polynomial"
 
     def __init__(self, terms: Mapping[int, int] | None = None):
         clean = {}
@@ -80,6 +158,12 @@ class LaurentQ:
         """The monomial ``coeff * q^e``."""
         return cls({e: coeff})
 
+    def _constant(self, c) -> "LaurentQ | None":
+        return LaurentQ({0: c}) if isinstance(c, int) else None
+
+    def _key(self):
+        return self._terms
+
     def terms(self) -> dict[int, int]:
         return dict(self._terms)
 
@@ -93,15 +177,8 @@ class LaurentQ:
         """Evaluate at ``q = 1`` (the classical specialisation)."""
         return sum(self._terms.values())
 
-    def __bool__(self) -> bool:
+    def __bool__(self) -> bool:  # the rewrite engine's zero test: no is_zero() call
         return bool(self._terms)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = LaurentQ.from_int(other)
-        if not isinstance(other, LaurentQ):
-            return NotImplemented
-        return self._terms == other._terms
 
     def __hash__(self):
         if not self._terms.keys() - {0}:  # a constant hashes like its int
@@ -112,13 +189,6 @@ class LaurentQ:
         out = LaurentQ()
         out._terms = {e: -c for e, c in self._terms.items()}
         return out
-
-    def _coerce(self, other) -> "LaurentQ | None":
-        if isinstance(other, LaurentQ):
-            return other
-        if isinstance(other, int):
-            return LaurentQ.from_int(other)
-        return None
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -136,18 +206,6 @@ class LaurentQ:
         return out
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -173,40 +231,20 @@ class LaurentQ:
                         prod[e] = s
                     else:
                         del prod[e]
-            prod = {e: c for e, c in prod.items() if c}
         out = LaurentQ()
         out._terms = prod
         return out
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int) -> "LaurentQ":
-        if e < 0:
-            raise NotInvertibleError("negative powers of a general Laurent polynomial")
-        return binary_power(self, e, LaurentQ.one())
-
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for e in sorted(self._terms):
-            c = self._terms[e]
-            if e == 0:
-                mono = str(abs(c))
-            else:
-                var = "q" if e == 1 else f"q^{e}"
-                mono = var if abs(c) == 1 else f"{abs(c)}*{var}"
-            if not parts:
-                parts.append(f"-{mono}" if c < 0 else mono)
-            else:
-                parts.append(f"- {mono}" if c < 0 else f"+ {mono}")
-        return " ".join(parts)
+        return _signed_sum((c, _monomial(c, "q", e)) for e, c in sorted(self._terms.items()))
 
     def __repr__(self) -> str:
         return f"LaurentQ({self._terms!r})"
 
 
-class TruncatedPoly:
+class TruncatedPoly(_Ring):
     """An element of ``Z[t] / t^(n+1)``; K-classes are these elements.
 
     ``coeffs[k]`` is the coefficient of ``t^k``; the tuple always has
@@ -216,6 +254,8 @@ class TruncatedPoly:
     """
 
     __slots__ = ("n", "coeffs")
+    _mismatch = TruncationMismatchError, "truncation orders"
+    _negative_power = ValueError, "negative exponent; use invert_unit for inverses"
 
     def __init__(self, n: int, coeffs: Iterable[int] = ()):
         if n < 0:
@@ -240,14 +280,20 @@ class TruncatedPoly:
         raise AttributeError("TruncatedPoly is immutable")
 
     @classmethod
+    def _raw(cls, n: int, coeffs: tuple) -> "TruncatedPoly":
+        """Wrap ``n + 1`` ints that the ring operations computed, unchecked."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "n", n)
+        object.__setattr__(out, "coeffs", coeffs)
+        return out
+
+    @classmethod
     def zero(cls, n: int) -> "TruncatedPoly":
         return cls(n)
 
     @classmethod
     def one(cls, n: int) -> "TruncatedPoly":
         return cls(n, (1,))
-
-    unit = one  # K-class name: the class of the trivial line bundle
 
     @classmethod
     def t(cls, n: int) -> "TruncatedPoly":
@@ -256,15 +302,11 @@ class TruncatedPoly:
             return cls(0)
         return cls(n, (0, 1))
 
-    @classmethod
-    def from_coeffs(cls, n: int, coeffs: Iterable[int]) -> "TruncatedPoly":
-        return cls(n, coeffs)
+    def _constant(self, c) -> "TruncatedPoly | None":
+        return TruncatedPoly(self.n, (c,)) if isinstance(c, int) else None
 
-    def _check_order(self, other: "TruncatedPoly"):
-        if self.n != other.n:
-            raise TruncationMismatchError(
-                f"mixed truncation orders {self.n} and {other.n}"
-            )
+    def _key(self):
+        return self.n, self.coeffs
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -274,61 +316,27 @@ class TruncatedPoly:
 
     rank = constant_term  # K-class name: the fibre dimension of a bundle
 
-    @property
-    def poly(self) -> "TruncatedPoly":
-        """The element itself, for code written against a wrapping K-class."""
-        return self
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = TruncatedPoly(self.n, (other,))
-        if not isinstance(other, TruncatedPoly):
-            return NotImplemented
-        return self.n == other.n and self.coeffs == other.coeffs
-
     def __hash__(self):
         if not any(self.coeffs[1:]):  # a constant hashes like its int
             return hash(self.coeffs[0])
         return hash((self.n, self.coeffs))
 
     def __neg__(self) -> "TruncatedPoly":
-        return TruncatedPoly(self.n, tuple(-c for c in self.coeffs))
-
-    def _coerce(self, other):
-        if isinstance(other, TruncatedPoly):
-            self._check_order(other)
-            return other
-        if isinstance(other, int):
-            return TruncatedPoly(self.n, (other,))
-        return None
+        return TruncatedPoly._raw(self.n, tuple([-c for c in self.coeffs]))
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return TruncatedPoly(
-            self.n, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
+        return TruncatedPoly._raw(
+            self.n, tuple([a + b for a, b in zip(self.coeffs, other.coeffs)])
         )
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return TruncatedPoly(
-            self.n, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
     def __mul__(self, other):
         if isinstance(other, int):  # scaling is O(n); skip the convolution
-            return TruncatedPoly(self.n, [c * other for c in self.coeffs])
+            return TruncatedPoly._raw(self.n, tuple([c * other for c in self.coeffs]))
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -342,14 +350,9 @@ class TruncatedPoly:
                 bj = b[j]
                 if bj:
                     out[i + j] += ai * bj
-        return TruncatedPoly(n, out)
+        return TruncatedPoly._raw(n, tuple(out))
 
     __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> "TruncatedPoly":
-        if e < 0:
-            raise ValueError("negative exponent; use invert_unit for inverses")
-        return binary_power(self, e, TruncatedPoly.one(self.n))
 
     def invert_unit(self) -> "TruncatedPoly":
         """Multiplicative inverse, defined exactly when the constant term is +-1.
@@ -381,21 +384,7 @@ class TruncatedPoly:
         return {"n": self.n, "coeffs": [str(c) for c in self.coeffs]}
 
     def __str__(self) -> str:
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if k == 0:
-                mono = str(abs(c))
-            elif k == 1:
-                mono = "t" if abs(c) == 1 else f"{abs(c)}*t"
-            else:
-                mono = f"t^{k}" if abs(c) == 1 else f"{abs(c)}*t^{k}"
-            if not parts:
-                parts.append(f"-{mono}" if c < 0 else mono)
-            else:
-                parts.append(f"- {mono}" if c < 0 else f"+ {mono}")
-        return " ".join(parts) if parts else "0"
+        return _signed_sum((c, _monomial(c, "t", k)) for k, c in enumerate(self.coeffs) if c)
 
     def __repr__(self) -> str:
         return f"TruncatedPoly({self.n}, {self.coeffs!r})"

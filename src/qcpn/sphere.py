@@ -51,7 +51,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterable, NamedTuple
 
-from .rings import LaurentQ, binary_power
+from .rings import LaurentQ, _monomial, _Ring, _signed_sum
 
 DEFAULT_STEP_CAP = 10**6
 STEP_CAP_ENV = "QCPN_STEP_CAP"
@@ -71,7 +71,10 @@ class Generator(NamedTuple):
         return f"z{self.index}s" if self.starred else f"z{self.index}"
 
 
-def _step_cap() -> int:
+def _step_cap(step_cap: int | None) -> int:
+    """``step_cap`` if given, else the budget from the environment."""
+    if step_cap is not None:
+        return step_cap
     raw = os.environ.get(STEP_CAP_ENV)
     if raw is None:
         return DEFAULT_STEP_CAP
@@ -112,7 +115,7 @@ def _merge(terms: dict, word: tuple[int, ...], coeff: LaurentQ) -> None:
         terms.pop(word, None)
 
 
-class NCPoly:
+class NCPoly(_Ring):
     """A formal sum of words in the sphere generators over ``Z[q, q^-1]``.
 
     Immutable; no relation is applied implicitly.  Multiplication is the
@@ -121,6 +124,8 @@ class NCPoly:
     """
 
     __slots__ = ("n", "_terms")
+    _mismatch = ValueError, "ambient indices"
+    _negative_power = ValueError, "negative powers are not defined in the free algebra"
 
     def __init__(self, n: int, terms=None):
         if n < 0:
@@ -177,6 +182,12 @@ class NCPoly:
             _merge(acc, word, coeff)
         return cls._raw(n, acc)
 
+    def _constant(self, c) -> "NCPoly | None":
+        return NCPoly.scalar(self.n, c) if isinstance(c, (int, LaurentQ)) else None
+
+    def _key(self):
+        return self.n, self._terms
+
     # -- inspection ------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -195,31 +206,12 @@ class NCPoly:
         word = tuple(_encode(g, self.n) for g in gens)
         return self._terms.get(word, LaurentQ.zero())
 
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, LaurentQ)):
-            other = NCPoly.scalar(self.n, other)
-        if not isinstance(other, NCPoly):
-            return NotImplemented
-        return self.n == other.n and self._terms == other._terms
-
     def __hash__(self):
         if not self._terms.keys() - {()}:  # a scalar hashes like its LaurentQ
             return hash(self._terms.get((), LaurentQ.zero()))
         return hash((self.n, frozenset(self._terms.items())))
 
     # -- ring operations --------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, NCPoly):
-            if other.n != self.n:
-                raise ValueError(f"mixed ambient indices {self.n} and {other.n}")
-            return other
-        if isinstance(other, (int, LaurentQ)):
-            return NCPoly.scalar(self.n, other)
-        return None
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -235,18 +227,6 @@ class NCPoly:
     def __neg__(self):
         return NCPoly._raw(self.n, {w: -c for w, c in self._terms.items()})
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -260,11 +240,6 @@ class NCPoly:
     def __rmul__(self, other):
         # scalars commute; words never reach here
         return self.__mul__(other)
-
-    def __pow__(self, e: int) -> "NCPoly":
-        if e < 0:
-            raise ValueError("negative powers are not defined in the free algebra")
-        return binary_power(self, e, NCPoly.one(self.n))
 
     # -- structure maps ----------------------------------------------------
 
@@ -319,39 +294,20 @@ class NCPoly:
     # -- rendering ----------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts: list[str] = []
-        n = self.n
+        bodies = []
         for word in sorted(self._terms, key=lambda w: (len(w), w)):
             coeff = self._terms[word]
-            word_str = _render_word(word, n)
             cterms = coeff.terms()
-            negative = False
             if len(cterms) > 1:
-                body = f"({coeff})"
-                body = f"{body}*{word_str}" if word_str else body
+                sign, body = 1, f"({coeff})"
             else:
-                ((e, k),) = cterms.items()
-                negative = k < 0
-                mag = abs(k)
-                if e == 0:
-                    coeff_str = str(mag)
-                elif e == 1:
-                    coeff_str = "q" if mag == 1 else f"{mag}*q"
-                else:
-                    coeff_str = f"q^{e}" if mag == 1 else f"{mag}*q^{e}"
-                if not word_str:
-                    body = coeff_str
-                elif mag == 1 and e == 0:
-                    body = word_str
-                else:
-                    body = f"{coeff_str}*{word_str}"
-            if not parts:
-                parts.append(f"-{body}" if negative else body)
-            else:
-                parts.append(f"- {body}" if negative else f"+ {body}")
-        return " ".join(parts)
+                ((e, sign),) = cterms.items()
+                body = _monomial(sign, "q", e)
+            word_str = _render_word(word, self.n)
+            if word_str:
+                body = word_str if body == "1" else f"{body}*{word_str}"
+            bodies.append((sign, body))
+        return _signed_sum(bodies)
 
     def __repr__(self) -> str:
         return f"NCPoly(n={self.n}, {str(self)!r})"
@@ -466,7 +422,7 @@ class _NormalProduct:
     def __init__(self, n: int, rules: frozenset = ALL_RULES, step_cap: int | None = None):
         self.n = n
         self.table = _rewrite_table(n, frozenset(rules))
-        self.cap = _step_cap() if step_cap is None else step_cap
+        self.cap = _step_cap(step_cap)
         self.steps = 0
 
     def __call__(self, left: NCPoly, right: NCPoly) -> NCPoly:
@@ -635,7 +591,7 @@ def verify_defining_relations(n: int, step_cap: int | None = None) -> ReductionR
 
     Failures are recorded in the report, never raised.
     """
-    cap = _step_cap() if step_cap is None else step_cap
+    cap = _step_cap(step_cap)
     report = ReductionReport()
     for name, rel in defining_relations(n):
         terms, steps = _reduce(rel._terms, n, _leftmost, ALL_RULES, cap)
@@ -694,7 +650,7 @@ def fuzz_confluence(
         raise ValueError("max_len must be at least 2")
     if trials < 0:
         raise ValueError("trials must be non-negative")
-    cap = _step_cap() if step_cap is None else step_cap
+    cap = _step_cap(step_cap)
     rng = random.Random(seed)
     report = ReductionReport(words=trials)
     for _ in range(trials):
@@ -716,7 +672,7 @@ def exhaustive_pair_check(n: int, step_cap: int | None = None) -> ReductionRepor
     weight homogeneity of every rule.  An exhausted step budget raises
     ``StepBudgetExceeded``.
     """
-    cap = _step_cap() if step_cap is None else step_cap
+    cap = _step_cap(step_cap)
     top = 2 * (n + 1)
     rng = random.Random(0)
     report = ReductionReport(words=top * top)

@@ -72,7 +72,7 @@ class TestIndexPairing:
 
 class TestPairingVector:
     def test_unit_class(self):
-        assert pairing_vector(KClass.unit(3)).values == (1, 0, 0, 0)
+        assert pairing_vector(KClass.one(3)).values == (1, 0, 0, 0)
 
     def test_tautological(self):
         assert pairing_vector(line_class(2, -1)).values == (1, -1, 1)

@@ -1,4 +1,6 @@
-"""Exact arithmetic in the two scalar rings."""
+"""Exact arithmetic in the two scalar rings, and the operator protocol they share with NCPoly."""
+
+import operator
 
 import pytest
 from hypothesis import given, strategies as st
@@ -67,10 +69,19 @@ class TestLaurentQ:
         assert q + 2 == LaurentQ({1: 1, 0: 2})
 
     def test_str(self):
-        assert str(LaurentQ({-2: 1, 0: -1})) == "q^-2 - 1"
-        assert str(LaurentQ()) == "0"
-        assert str(LaurentQ({1: -3})) == "-3*q"
-        assert str(LaurentQ({0: 2, 3: 1})) == "2 + q^3"
+        table = [
+            (LaurentQ({-2: 1, 0: -1}), "q^-2 - 1"),
+            (LaurentQ(), "0"),
+            (LaurentQ({1: -3}), "-3*q"),
+            (LaurentQ({0: 2, 3: 1}), "2 + q^3"),
+            (LaurentQ({1: 1}), "q"),
+            (LaurentQ({-1: -1, 0: -7, 1: 1}), "-q^-1 - 7 + q"),
+            (LaurentQ({-3: 12, 2: -1}), "12*q^-3 - q^2"),
+            (LaurentQ({0: -1}), "-1"),
+            (LaurentQ({0: 10**30}), "1" + "0" * 30),
+        ]
+        for x, text in table:
+            assert str(x) == text
 
     def test_negative_pow_rejected(self):
         with pytest.raises(NotInvertibleError):
@@ -150,8 +161,17 @@ class TestTruncatedPoly:
             p.truncate(4)
 
     def test_str(self):
-        assert str(TruncatedPoly(3, (1, 0, -2, 1))) == "1 - 2*t^2 + t^3"
-        assert str(TruncatedPoly.zero(2)) == "0"
+        table = [
+            (TruncatedPoly(3, (1, 0, -2, 1)), "1 - 2*t^2 + t^3"),
+            (TruncatedPoly.zero(2), "0"),
+            (TruncatedPoly(0, (0,)), "0"),
+            (TruncatedPoly.t(2), "t"),
+            (TruncatedPoly(2, (0, -3, -1)), "-3*t - t^2"),
+            (TruncatedPoly(2, (-1, 1, 5)), "-1 + t + 5*t^2"),
+            (TruncatedPoly(1, (7,)), "7"),
+        ]
+        for x, text in table:
+            assert str(x) == text
 
     def test_immutability(self):
         p = TruncatedPoly(2, (1,))
@@ -204,9 +224,43 @@ class TestTruncatedPoly:
             TruncatedPoly(2, (1, 1)) ** -1
 
 
+@st.composite
+def ncpolys(draw, max_n=2):
+    n = draw(st.integers(0, max_n))
+    words = st.lists(st.integers(0, 2 * n + 1), max_size=3).map(tuple)
+    return NCPoly(n, draw(st.dictionaries(words, laurents(9), max_size=4)))
+
+
+RINGS = {"LaurentQ": laurents(), "TruncatedPoly": truncated(), "NCPoly": ncpolys()}
+
+
 class TestHashAgreesWithEquality:
     """A constant compares equal to its int (and an NCPoly scalar to its
-    LaurentQ), so it must hash like it too."""
+    LaurentQ), so it must hash like it, and an int must act as that
+    constant in every operator of all three rings."""
+
+    @pytest.mark.parametrize("ring", sorted(RINGS))
+    @given(data=st.data(), k=st.integers(-10**20, 10**20))
+    def test_ints_act_as_constants(self, ring, data, k):
+        x = data.draw(RINGS[ring])
+        assert k - x == -(x - k)
+        assert k + x == x + k
+        assert k * x == x * k
+        assert x**0 == 1
+        assert not x - x and not 0 * x
+        assert bool(x) == (x != 0) == (not x.is_zero())
+
+    @pytest.mark.parametrize(
+        "make, error",
+        [(TruncatedPoly.one, TruncationMismatchError), (NCPoly.one, ValueError)],
+        ids=["TruncatedPoly", "NCPoly"],
+    )
+    def test_orders_never_mix(self, make, error):
+        a, b = make(1), make(2)
+        assert a != b and not a == b
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(error, match="^mixed (truncation orders|ambient indices) 1 and 2$"):
+                op(a, b)
 
     def test_constants_meet_ints_in_sets_and_dicts(self):
         assert len({line_class(2, 0), 1}) == 1

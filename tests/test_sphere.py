@@ -465,12 +465,23 @@ class TestNCPolyPlumbing:
         assert p.adjoint() == word_poly(2, [(1, True), (0, True)])
 
     def test_str_rendering(self):
-        assert str(NCPoly.zero(1)) == "0"
-        assert str(NCPoly.one(1)) == "1"
-        p = NCPoly.one(1) - word_poly(1, [(1, True), (1, False)])
-        assert str(p) == "1 - z1s*z1"
-        q = LaurentQ({-2: 1, 0: -1}) * word_poly(1, [(0, False)])
-        assert str(q) == "(q^-2 - 1)*z0"
+        z0, z1s_z1 = word_poly(1, [(0, False)]), word_poly(1, [(1, True), (1, False)])
+        reorder = LaurentQ({-2: 1, 0: -1})
+        table = [
+            (NCPoly.zero(1), "0"),
+            (NCPoly.one(1), "1"),
+            (NCPoly.one(1) - z1s_z1, "1 - z1s*z1"),
+            (reorder * z0, "(q^-2 - 1)*z0"),
+            (NCPoly.scalar(1, reorder), "(q^-2 - 1)"),
+            (LaurentQ({0: -1, 2: 1}) * z0 - z1s_z1, "(-1 + q^2)*z0 - z1s*z1"),
+            (-z0, "-z0"),
+            (NCPoly.scalar(1, -3) + LaurentQ.q_power(1) * z0, "-3 + q*z0"),
+            (LaurentQ.q_power(-2, -1) * z1s_z1, "-q^-2*z1s*z1"),
+            (2 * z0 + LaurentQ.q_power(3, 5) * z1s_z1, "2*z0 + 5*q^3*z1s*z1"),
+            (NCPoly.scalar(1, LaurentQ.q_power(-1)), "q^-1"),
+        ]
+        for p, text in table:
+            assert str(p) == text
 
     def test_terms_are_canonically_ordered(self):
         p = gen(2, 1) + gen(2, 0, True) + NCPoly.one(2)

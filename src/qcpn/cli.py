@@ -29,14 +29,10 @@ from . import __version__
 from .basis import basis_class, certify_basis
 from .corep import associated_class, fundamental_weights
 from .kclasses import line_class, restrict
-from .ncparse import parse_expr, _tokenize
+from .ncparse import _infer_n, parse_expr
 from .pairing import pairing_vector
 from .rings import TruncatedPoly
 from .sphere import _NormalProduct, fuzz_confluence, verify_defining_relations
-
-
-def _csv_lines(rows) -> str:
-    return "\n".join(",".join(str(x) for x in row) for row in rows) + "\n"
 
 
 _CHUNKS_PER_WRITE = 4096
@@ -61,35 +57,26 @@ def _parse_coeffs(text: str) -> list[int]:
         raise ValueError(f"--coeffs expects comma-separated integers, got {text!r}")
 
 
-def _class_from_args(args) -> TruncatedPoly:
+def _selected_class(args) -> tuple[TruncatedPoly, dict]:
+    """The class named by ``--line``, ``--basis`` or ``--coeffs``, and its params entry."""
     if args.line is not None:
-        return line_class(args.n, args.line)
+        return line_class(args.n, args.line), {"line": args.line}
     if getattr(args, "basis", None) is not None:
-        return basis_class(args.n, args.basis)
-    return TruncatedPoly(args.n, _parse_coeffs(args.coeffs))
+        return basis_class(args.n, args.basis), {"basis": args.basis}
+    return TruncatedPoly(args.n, _parse_coeffs(args.coeffs)), {"coeffs": args.coeffs}
 
 
-def _class_params(args) -> dict:
-    if args.line is not None:
-        return {"line": args.line}
-    if getattr(args, "basis", None) is not None:
-        return {"basis": args.basis}
-    return {"coeffs": args.coeffs}
-
-
-# -- subcommand handlers: each returns (params, result, csv_or_None) ---------
+# -- subcommand handlers: each returns (params, result, CSV rows or None) ----
 
 
 def _run_kbasis(args):
     cert = certify_basis(args.n)
-    csv = _csv_lines(cert.matrix) if args.format == "csv" else None
-    return {"n": args.n, "format": args.format}, cert.as_dict(), csv
+    return {"n": args.n, "format": args.format}, cert.as_dict(), cert.matrix
 
 
 def _run_kclass_line(args):
     c = line_class(args.n, args.m)
-    csv = _csv_lines([c.coeffs]) if args.format == "csv" else None
-    return {"n": args.n, "m": args.m, "format": args.format}, c.as_dict(), csv
+    return {"n": args.n, "m": args.m, "format": args.format}, c.as_dict(), [c.coeffs]
 
 
 def _run_kclass_assoc(args):
@@ -109,22 +96,21 @@ def _run_kclass_assoc(args):
 
 
 def _run_pair(args):
-    c = _class_from_args(args)
+    c, selector = _selected_class(args)
     vec = pairing_vector(c)
     result = {
         "n": c.n,
         "class": c.as_dict(),
         "pairings": [str(v) for v in vec.values],
     }
-    return {"n": args.n, **_class_params(args)}, result, None
+    return {"n": args.n, **selector}, result, None
 
 
 def _run_restrict(args):
-    c = _class_from_args(args)
+    c, selector = _selected_class(args)
     restricted = restrict(c, args.target)
-    params = {"n": args.n, "target": args.target, **_class_params(args)}
-    csv = _csv_lines([restricted.coeffs]) if args.format == "csv" else None
-    return params, restricted.as_dict(), csv
+    params = {"n": args.n, "target": args.target, **selector}
+    return params, restricted.as_dict(), [restricted.coeffs]
 
 
 def _degree_payload(poly) -> "int | str":
@@ -136,13 +122,6 @@ def _run_nc_reduce(args):
     nf = parse_expr(args.expr, args.n, _mul=_NormalProduct(args.n))
     result = {"normal_form": str(nf), "degree": _degree_payload(nf)}
     return {"n": args.n, "expr": args.expr}, result, None
-
-
-def _infer_n(expr: str) -> int:
-    indices = [
-        tok.value[0] for tok in _tokenize(expr) if tok.kind == "GEN"
-    ]
-    return max(indices, default=0)
 
 
 def _run_nc_degree(args):
@@ -260,12 +239,12 @@ def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        params, result, csv = args.handler(args)
+        params, result, rows = args.handler(args)
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if csv is not None:
-        sys.stdout.write(csv)
+    if getattr(args, "format", None) == "csv":
+        sys.stdout.write("\n".join(",".join(map(str, row)) for row in rows) + "\n")
         return 0
     envelope = {
         "command": args.label,

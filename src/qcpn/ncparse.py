@@ -9,6 +9,7 @@ Accepts the surface syntax used by the CLI and by ``NCPoly.__str__``::
     qpow   := 'q' ('^' int)?
     gen    := 'z' uint ['s']          # 's' marks the starred generator
     int    := ['-'] uint
+    uint   := [0-9]+
 
 Whitespace separates tokens and is otherwise ignored.  A generator index
 above the ambient ``n`` is a syntax error, so parse errors and range
@@ -17,21 +18,29 @@ Parentheses nested more than ``MAX_NESTING`` levels deep are a syntax
 error too; the cap keeps the recursive descent well inside the
 interpreter's recursion limit.
 
-``parse_expr`` expands the free product.  Its private ``_mul`` hook
-replaces the product of ``*`` and of every multiply inside ``^``;
-``nc reduce`` passes the normal-form product there, so that each
+``qpow`` builds ``q^e`` as one scalar; through ``factor`` it would cost a
+chain of products, and normal forms fed back to the parser are full of
+``q^e``.
+
+``parse_expr`` expands the free product and refuses, with ``ValueError``,
+any product of more than ``MAX_FREE_TERMS`` term pairs.  ``nc degree``
+cannot avoid the expansion: ``(1+z0)*(z0-1) - z0*z0`` is ``-1``, of
+degree 0, although its factors have weights 0, 1 and 2.  The private
+``_mul`` hook replaces the product of ``*`` and of every multiply inside
+``^``; ``nc reduce`` passes the normal-form product there, so that each
 product is reduced as soon as it is formed.
 """
 
 from __future__ import annotations
 
-from operator import mul as _free_product
+import re
 from typing import NamedTuple
 
 from .rings import LaurentQ, binary_power
 from .sphere import NCPoly
 
 MAX_NESTING = 100  # parenthesis levels
+MAX_FREE_TERMS = 10**6  # term pairs of one free product
 
 
 class NCSyntaxError(ValueError):
@@ -48,49 +57,49 @@ class _Token(NamedTuple):
     pos: int
 
 
-_OPS = set("+-*^()")
+# One alternative per token kind, after any whitespace (``\s`` is exactly
+# ``str.isspace``); the group that matched names the kind.  Some alternative
+# matches at every position, and END only at the end of the text.
+_TOKEN = re.compile(
+    r"""\s*(?:
+        (?P<OP>[-+*^()])
+      | (?P<INT>[0-9]+)
+      | (?P<Q>q)
+      | (?P<GEN>z(?P<index>[0-9]+)(?P<star>s?))
+      | (?P<Z>z)
+      | (?P<END>\Z)
+      | (?P<BAD>.))""",
+    re.VERBOSE | re.DOTALL,
+)
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i = 0
-    size = len(text)
-    while i < size:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _OPS:
-            tokens.append(_Token("OP", ch, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            start = i
-            while i < size and text[i].isdigit():
-                i += 1
-            tokens.append(_Token("INT", int(text[start:i]), start))
-            continue
-        if ch == "q":
-            tokens.append(_Token("Q", None, i))
-            i += 1
-            continue
-        if ch == "z":
-            start = i
-            i += 1
-            if i >= size or not text[i].isdigit():
-                raise NCSyntaxError("expected an index after 'z'", start)
-            num = i
-            while i < size and text[i].isdigit():
-                i += 1
-            index = int(text[num:i])
-            starred = i < size and text[i] == "s"
-            if starred:
-                i += 1
-            tokens.append(_Token("GEN", (index, starred), start))
-            continue
-        raise NCSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("END", None, size))
-    return tokens
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        pos = m.start(kind)
+        if kind == "Z":
+            raise NCSyntaxError("expected an index after 'z'", pos)
+        if kind == "BAD":
+            raise NCSyntaxError(f"unexpected character {m[kind]!r}", pos)
+        if kind == "GEN":
+            value = (int(m["index"]), m["star"] == "s")
+        else:
+            value = int(m[kind]) if kind == "INT" else m[kind]
+        tokens.append(_Token(kind, value, pos))
+        if kind == "END":
+            return tokens
+
+
+def _infer_n(text: str) -> int:
+    """The largest generator index in ``text``, or 0 if it has none."""
+    return max((tok.value[0] for tok in _tokenize(text) if tok.kind == "GEN"), default=0)
+
+
+def _free_product(a: NCPoly, b: NCPoly) -> NCPoly:
+    if a.term_count() * b.term_count() > MAX_FREE_TERMS:
+        raise ValueError(f"free expansion exceeds {MAX_FREE_TERMS} term pairs")
+    return a * b
 
 
 class _Parser:
@@ -112,12 +121,6 @@ class _Parser:
     def is_op(self, *symbols: str) -> bool:
         tok = self.peek()
         return tok.kind == "OP" and tok.value in symbols
-
-    def expect_op(self, symbol: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "OP" or tok.value != symbol:
-            raise NCSyntaxError(f"expected {symbol!r}", tok.pos)
-        return self.advance()
 
     def parse(self) -> NCPoly:
         result = self.expr()
@@ -158,14 +161,12 @@ class _Parser:
         return acc
 
     def signed_int(self) -> int:
-        negate = False
-        if self.is_op("-"):
+        negate = self.is_op("-")
+        if negate:
             self.advance()
-            negate = True
-        tok = self.peek()
+        tok = self.advance()
         if tok.kind != "INT":
             raise NCSyntaxError("expected an integer exponent", tok.pos)
-        self.advance()
         return -tok.value if negate else tok.value
 
     def _invert_scalar(self, base: NCPoly, e: int, pos: int) -> NCPoly:
@@ -173,30 +174,24 @@ class _Parser:
         terms = dict(base.terms())
         if list(terms) != [()]:
             raise NCSyntaxError("negative exponent on a non-scalar factor", pos)
-        coeff = terms[()]
-        monos = coeff.terms()
-        if len(monos) != 1:
+        monos = list(terms[()].terms().items())
+        if len(monos) != 1 or monos[0][1] not in (1, -1):
             raise NCSyntaxError("negative exponent on a non-invertible scalar", pos)
-        ((exp, k),) = monos.items()
-        if k not in (1, -1):
-            raise NCSyntaxError("negative exponent on a non-invertible scalar", pos)
+        ((exp, k),) = monos
         inv = LaurentQ.q_power(-exp, k)
         return NCPoly.scalar(base.n, inv**(-e))
 
     def primary(self) -> NCPoly:
-        tok = self.peek()
+        tok = self.advance()
         if tok.kind == "INT":
-            self.advance()
             return NCPoly.scalar(self.n, tok.value)
         if tok.kind == "Q":
-            self.advance()
             e = 1
             if self.is_op("^"):
                 self.advance()
                 e = self.signed_int()
             return NCPoly.scalar(self.n, LaurentQ.q_power(e))
         if tok.kind == "GEN":
-            self.advance()
             index, starred = tok.value
             if index > self.n:
                 raise NCSyntaxError(
@@ -208,11 +203,12 @@ class _Parser:
                 raise NCSyntaxError(
                     f"parentheses nested deeper than {MAX_NESTING} levels", tok.pos
                 )
-            self.advance()
             self.depth += 1
             inner = self.expr()
             self.depth -= 1
-            self.expect_op(")")
+            if not self.is_op(")"):
+                raise NCSyntaxError("expected ')'", self.peek().pos)
+            self.advance()
             return inner
         raise NCSyntaxError("expected a number, generator, or '('", tok.pos)
 

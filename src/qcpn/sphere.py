@@ -287,10 +287,6 @@ class NCPoly(_Ring):
                 out[word] = v
         return out
 
-    def normal_form(self, rules: frozenset = ALL_RULES, step_cap: int | None = None):
-        """Reduce to the fixed point of the oriented rules; see ``normal_form``."""
-        return normal_form(self, rules=rules, step_cap=step_cap)
-
     # -- rendering ----------------------------------------------------------
 
     def __str__(self) -> str:
@@ -378,8 +374,6 @@ def _reduce(
     steps = 0
     while pending:
         word, coeff = pending.popitem()
-        if not coeff:
-            continue
         redexes = [p for p in range(len(word) - 1) if (word[p], word[p + 1]) in table]
         if not redexes:
             _merge(done, word, coeff)

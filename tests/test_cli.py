@@ -195,6 +195,22 @@ class TestNC:
         code, _, err = invoke(capsys, "nc", "reduce", "--n", "1", "--expr", "z0 +")
         assert code == 1 and "offset" in err
 
+    @pytest.mark.parametrize("action", [["reduce", "--n", "3"], ["degree"]])
+    @pytest.mark.parametrize(
+        "expr, message",
+        [
+            ("z\u00b2", "expected an index after 'z' at offset 0"),
+            ("z0^\u00b2", "unexpected character '\u00b2' at offset 3"),
+        ],
+    )
+    def test_non_ascii_digit_exits_one(self, capsys, action, expr, message):
+        code, out, err = invoke(capsys, "nc", *action, "--expr", expr)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_degree_free_expansion_capped(self, capsys):
+        code, out, err = invoke(capsys, "nc", "degree", "--expr", "(z0+z0s)^24")
+        assert (code, out, err) == (1, "", "error: free expansion exceeds 1000000 term pairs\n")
+
     @pytest.mark.parametrize("action", [["reduce", "--n", "1"], ["degree"]])
     @pytest.mark.parametrize("depth", [MAX_NESTING, MAX_NESTING + 1, 1000])
     def test_nesting_depth_capped(self, capsys, action, depth):

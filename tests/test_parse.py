@@ -3,9 +3,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from qcpn.ncparse import MAX_NESTING, NCSyntaxError, parse_expr
+from qcpn.ncparse import MAX_FREE_TERMS, MAX_NESTING, NCSyntaxError, parse_expr
 from qcpn.rings import LaurentQ
-from qcpn.sphere import Generator, NCPoly, normal_form
+from qcpn.sphere import Generator, NCPoly, _NormalProduct, normal_form
 
 
 def gen(n, i, starred=False):
@@ -58,6 +58,20 @@ class TestGrammar:
 
     def test_multi_digit_index(self):
         assert parse_expr("z12", 15) == gen(15, 12)
+
+    def test_q_power_is_one_scalar(self):
+        # ``q^e`` is read as one scalar; through ``factor`` it costs a power chain
+        products = []
+
+        def counting(a, b):
+            products.append((a, b))
+            return a * b
+
+        assert parse_expr("q^5*z0", 1, _mul=counting) == LaurentQ.q_power(5) * gen(1, 0)
+        assert len(products) == 1
+        products.clear()
+        assert parse_expr("(q)^5*z0", 1, _mul=counting) == LaurentQ.q_power(5) * gen(1, 0)
+        assert len(products) == 5
 
 
 class TestErrors:
@@ -118,6 +132,33 @@ class TestErrors:
     def test_negative_ambient_rejected(self):
         with pytest.raises(ValueError):
             parse_expr("z0", -1)
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [("z\u00b2", 0), ("z0^\u00b2", 3), ("3\u00b2", 1), ("z\u0663", 0)],
+    )
+    def test_digits_are_ascii(self, text, position):
+        # superscript two and Arabic-Indic three are str.isdigit() digits
+        with pytest.raises(NCSyntaxError) as exc:
+            parse_expr(text, 3)
+        assert exc.value.position == position
+
+
+class TestFreeExpansionCap:
+    def test_over_the_cap(self):
+        with pytest.raises(ValueError, match=f"^free expansion exceeds {MAX_FREE_TERMS} term pairs$"):
+            parse_expr("(z0+z0s)^24", 1)
+
+    def test_bound_is_on_pairs(self, monkeypatch):
+        monkeypatch.setattr("qcpn.ncparse.MAX_FREE_TERMS", 16)
+        assert parse_expr("(z0+z0s)^4", 1).term_count() == 16  # 4 x 4 pairs, at the cap
+        with pytest.raises(ValueError):
+            parse_expr("(z0+z0s)^2*(z0+z0s+z1)^2", 1)  # 4 x 9 pairs
+
+    def test_normal_form_product_is_not_capped(self, monkeypatch):
+        expected = normal_form(parse_expr("(z0+z0s)^2", 1))
+        monkeypatch.setattr("qcpn.ncparse.MAX_FREE_TERMS", 1)
+        assert parse_expr("(z0+z0s)^2", 1, _mul=_NormalProduct(1)) == expected
 
 
 @st.composite

@@ -33,7 +33,6 @@ from .basis import (
     basis_class_closed_form,
     basis_matrix,
     certify_basis,
-    det_exact,
     expand_in_basis,
     nesting_check,
     unimodular_inverse,
@@ -78,7 +77,6 @@ __all__ = [
     "basis_matrix",
     "certify_basis",
     "defining_relations",
-    "det_exact",
     "euler_class",
     "exhaustive_pair_check",
     "expand_in_basis",

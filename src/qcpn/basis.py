@@ -18,11 +18,9 @@ constants and leaves ``(1 - u)^j = t^j``; for ``j = n`` the top class
 ``b_(n+1)`` is missing, and ``sum_k (-1)^k C(n, k) b_k`` gives
 ``t^n u^-1 = t^n`` instead.
 
-The general linear algebra is fraction-free over the integers: a Bareiss
-forward elimination for determinants and a one-step fraction-free
-Gauss-Jordan for the adjugate.  Intermediate divisions are exact by
-construction.  Certificates use neither; the test suite checks the closed
-form against the elimination.
+``unimodular_inverse`` is a fraction-free Gauss-Jordan elimination over the
+integers; certificates do not use it, but the test suite checks the closed
+form against it.
 
 The back-multiplication packs each row ``k`` of the inverse ``N`` into one
 integer ``R_k = sum_j N[k][j] 2^(j w)`` and checks, for every row ``i`` of
@@ -103,63 +101,6 @@ def _check_square(matrix) -> list[list[int]]:
     if size == 0 or any(len(r) != size for r in rows):
         raise ValueError("matrix must be square and nonempty")
     return rows
-
-
-def det_cofactor(matrix) -> int:
-    """Determinant by first-row cofactor expansion.
-
-    Exponential; kept as the independent small-matrix oracle for the
-    elimination routine.
-    """
-    rows = _check_square(matrix)
-
-    def expand(m: Matrix) -> int:
-        size = len(m)
-        if size == 1:
-            return m[0][0]
-        total = 0
-        for j, top in enumerate(m[0]):
-            if top == 0:
-                continue
-            minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-            term = top * expand(minor)
-            total += term if j % 2 == 0 else -term
-        return total
-
-    return expand(rows)
-
-
-def det_exact(matrix) -> int:
-    """Exact determinant by Bareiss fraction-free elimination.
-
-    Every division is by the previous pivot and is exact over the
-    integers, so no rounding can occur at any size.
-    """
-    a = _check_square(matrix)
-    size = len(a)
-    sign = 1
-    denom = 1
-    for k in range(size - 1):
-        pivot_row = None
-        for r in range(k, size):
-            if a[r][k] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            return 0
-        if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        piv = a[k][k]
-        top = a[k]
-        for i in range(k + 1, size):
-            f = a[i][k]
-            row = a[i]
-            a[i] = row[: k + 1] + [
-                (piv * row[j] - f * top[j]) // denom for j in range(k + 1, size)
-            ]
-        denom = piv
-    return sign * a[size - 1][size - 1]
 
 
 def unimodular_inverse(matrix) -> tuple[int, Matrix]:
@@ -323,10 +264,9 @@ def _cached_certificate(n: int) -> BasisCertificate:
     return certify_basis(n)
 
 
-def expand_in_basis(c: TruncatedPoly, certificate: BasisCertificate | None = None):
+def expand_in_basis(c: TruncatedPoly):
     """Unique integer coordinates of ``c`` in the certified basis."""
-    cert = certificate if certificate is not None else _cached_certificate(c.n)
-    return cert.coordinates_of(c)
+    return _cached_certificate(c.n).coordinates_of(c)
 
 
 def is_leading_block(small, big) -> bool:

@@ -236,6 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # exact integers are read and printed in full
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -640,6 +640,8 @@ def fuzz_confluence(
     weight homogeneity, or an exhausted step budget are recorded as
     mismatches.  Deterministic for a fixed seed.
     """
+    if n < 0:
+        raise ValueError("ambient index n must be nonnegative")
     if max_len < 2:
         raise ValueError("max_len must be at least 2")
     if trials < 0:
@@ -666,6 +668,8 @@ def exhaustive_pair_check(n: int, step_cap: int | None = None) -> ReductionRepor
     weight homogeneity of every rule.  An exhausted step budget raises
     ``StepBudgetExceeded``.
     """
+    if n < 0:
+        raise ValueError("ambient index n must be nonnegative")
     cap = _step_cap(step_cap)
     top = 2 * (n + 1)
     rng = random.Random(0)

@@ -1,8 +1,8 @@
 """Basis classes and exact unimodularity certificates.
 
-The elimination routines are checked against two independent oracles:
-cofactor expansion (exponential, small sizes) and Gauss-Jordan over
-``fractions.Fraction`` (exact rational arithmetic, any size).
+The determinant and the elimination routine are checked against an
+independent oracle: Gauss-Jordan over ``fractions.Fraction`` (exact rational
+arithmetic, any size).
 """
 
 import random
@@ -19,8 +19,6 @@ from qcpn.basis import (
     basis_inverse,
     basis_matrix,
     certify_basis,
-    det_cofactor,
-    det_exact,
     det_hessenberg,
     expand_in_basis,
     is_leading_block,
@@ -117,42 +115,6 @@ small_matrices = st.integers(1, 5).flatmap(
 )
 
 
-class TestDeterminants:
-    def test_identity(self):
-        assert det_exact([[1, 0], [0, 1]]) == 1
-        assert det_cofactor([[1, 0], [0, 1]]) == 1
-
-    def test_frozen_basis_determinants(self):
-        assert det_exact(basis_matrix(2)) == -1
-        assert det_cofactor(basis_matrix(2)) == -1
-        assert det_exact(basis_matrix(3)) == 1
-        assert det_cofactor(basis_matrix(3)) == 1
-
-    def test_singular(self):
-        assert det_exact([[1, 2], [2, 4]]) == 0
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
-            det_exact([[1, 2]])
-        with pytest.raises(ValueError):
-            det_cofactor([])
-
-    @given(small_matrices)
-    def test_elimination_matches_cofactor(self, m):
-        assert det_exact(m) == det_cofactor(m)
-
-    @given(small_matrices)
-    def test_elimination_matches_fractions(self, m):
-        expected, _ = fraction_gauss_jordan(m)
-        assert det_exact(m) == expected
-
-    def test_large_entries_stay_exact(self):
-        big = 10**30
-        m = [[big, big - 1], [big + 1, big]]
-        # det = big^2 - (big-1)(big+1) = 1
-        assert det_exact(m) == 1
-
-
 def random_hessenberg(rng, size, spread):
     """Random integer matrix with a[r][c] = 0 for c > r + 1."""
     return [
@@ -167,7 +129,7 @@ class TestHessenbergDeterminant:
     def test_matches_elimination(self, seed, size, spread):
         # spread 1 puts many zeros on the superdiagonal
         m = random_hessenberg(random.Random(seed), size, spread)
-        assert det_hessenberg(m) == det_exact(m)
+        assert det_hessenberg(m) == fraction_gauss_jordan(m)[0]
 
     def test_large_entries_stay_exact(self):
         big = 10**30
@@ -359,6 +321,7 @@ class TestCertificates:
     def test_coordinates_of_tautological(self):
         cert = certify_basis(3)
         assert cert.coordinates_of(line_class(3, -1)) == (1, -1, 1, 0)
+        assert certify_basis(2).coordinates_of(KClass.one(2)) == (1, 0, 0)
 
     def test_coordinates_dimension_check(self):
         cert = certify_basis(3)
@@ -381,10 +344,6 @@ class TestCertificates:
         for j, x in enumerate(coords):
             rebuilt = rebuilt + x * basis_class(n, j)
         assert rebuilt == c
-
-    def test_expansion_accepts_explicit_certificate(self):
-        cert = certify_basis(2)
-        assert expand_in_basis(KClass.one(2), cert) == (1, 0, 0)
 
 
 class TestNesting:

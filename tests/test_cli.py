@@ -186,6 +186,11 @@ class TestNC:
                                 "--trials", "-5", "--seed", "1")
         assert (code, out, err) == (1, "", "error: trials must be non-negative\n")
 
+    def test_fuzz_rejects_negative_ambient(self, capsys):
+        code, out, err = invoke(capsys, "nc", "fuzz", "--n", "-1", "--max-len", "3",
+                                "--trials", "2", "--seed", "1")
+        assert (code, out, err) == (1, "", "error: ambient index n must be nonnegative\n")
+
     def test_relations_report(self, capsys):
         env = invoke_json(capsys, "nc", "relations", "--n", "2")
         assert env["result"]["passed"] is True
@@ -264,6 +269,31 @@ class TestNC:
         assert env["result"] == {"normal_form": "1", "degree": 0}
         code, _, err = invoke(capsys, "nc", "degree", "--n", "1", "--expr", expr)
         assert code == 1 and "non-scalar factor" in err
+
+
+@pytest.fixture
+def default_digit_limit():
+    """CPython's default cap on int/str conversion, as in a fresh interpreter."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield  # the interpreter has no cap
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.usefixtures("default_digit_limit")
+class TestLongIntegers:
+    def test_long_result_printed_in_full(self, capsys):
+        env = invoke_json(capsys, "nc", "reduce", "--n", "1", "--expr", "2^14300")
+        assert env["result"]["normal_form"] == str(2**14300)
+
+    def test_long_coeff_read_in_full(self, capsys):
+        digits = "9" * 5000
+        env = invoke_json(capsys, "pair", "--n", "1", "--coeffs", f"{digits},0")
+        assert env["result"]["class"]["coeffs"] == [digits, "0"]
+        assert env["result"]["pairings"] == [digits, "0"]
 
 
 class TestEnvelope:

@@ -374,6 +374,14 @@ class TestFuzz:
             fuzz_confluence(1, 3, -5, seed=1)
         assert fuzz_confluence(1, 3, 0, seed=1).as_dict()["words"] == 0
 
+    def test_negative_ambient_rejected(self):
+        with pytest.raises(ValueError, match="ambient index n must be nonnegative"):
+            fuzz_confluence(-1, 3, 2, seed=1)
+        with pytest.raises(ValueError, match="ambient index n must be nonnegative"):
+            exhaustive_pair_check(-1)
+        assert fuzz_confluence(0, 3, 20, seed=1).passed
+        assert exhaustive_pair_check(0).words == 4
+
     def test_report_serialization(self):
         d = fuzz_confluence(1, 3, 5, seed=0).as_dict()
         assert set(d) == {"words", "max_steps", "mismatches", "passed"}

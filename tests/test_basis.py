@@ -321,7 +321,6 @@ class TestCertificates:
     def test_coordinates_of_tautological(self):
         cert = certify_basis(3)
         assert cert.coordinates_of(line_class(3, -1)) == (1, -1, 1, 0)
-        assert certify_basis(2).coordinates_of(KClass.one(2)) == (1, 0, 0)
 
     def test_coordinates_dimension_check(self):
         cert = certify_basis(3)
@@ -344,6 +343,11 @@ class TestCertificates:
         for j, x in enumerate(coords):
             rebuilt = rebuilt + x * basis_class(n, j)
         assert rebuilt == c
+
+    def test_expansion_accepts_explicit_certificate(self):
+        cert = certify_basis(2)
+        one = KClass.one(2)
+        assert expand_in_basis(one) == cert.coordinates_of(one) == (1, 0, 0)
 
 
 class TestNesting:

@@ -16,7 +16,11 @@ above the ambient ``n`` is a syntax error, so parse errors and range
 errors surface the same way with a character offset attached.
 Parentheses nested more than ``MAX_NESTING`` levels deep are a syntax
 error too; the cap keeps the recursive descent well inside the
-interpreter's recursion limit.
+interpreter's recursion limit.  A ``^`` exponent above ``MAX_EXPONENT``
+in absolute value is a syntax error at the exponent's offset: a scalar
+raised to a huge power would compute an integer of millions of digits
+before any budget applies.  ``q^e`` takes any exponent, because it is one
+monomial whatever ``e`` is.
 
 ``qpow`` builds ``q^e`` as one scalar; through ``factor`` it would cost a
 chain of products, and normal forms fed back to the parser are full of
@@ -40,6 +44,7 @@ from .rings import LaurentQ, binary_power
 from .sphere import NCPoly
 
 MAX_NESTING = 100  # parenthesis levels
+MAX_EXPONENT = 10**5  # |e| of a '^' exponent
 MAX_FREE_TERMS = 10**6  # term pairs of one free product
 
 
@@ -153,7 +158,10 @@ class _Parser:
         acc = self.primary()
         while self.is_op("^"):
             caret = self.advance()
+            at = self.peek().pos
             e = self.signed_int()
+            if abs(e) > MAX_EXPONENT:
+                raise NCSyntaxError(f"exponent exceeds {MAX_EXPONENT} in absolute value", at)
             if e >= 0:
                 acc = binary_power(acc, e, NCPoly.one(self.n), self.mul)
             else:

@@ -142,6 +142,13 @@ class LaurentQ(_Ring):
         self._terms = clean
 
     @classmethod
+    def _raw(cls, terms: dict) -> "LaurentQ":
+        """Wrap an exponent map with no zero coefficient, unchecked and uncopied."""
+        out = object.__new__(cls)
+        out._terms = terms
+        return out
+
+    @classmethod
     def zero(cls) -> "LaurentQ":
         return cls()
 

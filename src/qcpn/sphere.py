@@ -32,9 +32,27 @@ junction, and each rewrite can create redexes only next to the pair it
 replaced, so the redex search never rescans a word.  ``normal_form``
 folds each word from the empty word, and ``nc reduce`` forms every
 product of its expression this way, so the free product is never
-expanded.  ``_reduce``, the pair rewriter under a caller-chosen redex
-strategy, remains for the strategy comparisons of ``fuzz_confluence``,
-``exhaustive_pair_check`` and ``verify_defining_relations``.
+expanded.
+
+The pair rewriter ``_rewrite`` remains for the strategy comparisons of
+``fuzz_confluence``, ``exhaustive_pair_check`` and
+``verify_defining_relations``.  It rewrites one redex at a time, at the
+position a caller-chosen strategy picks from the word's ascending redex
+list.  Its coefficients are plain exponent maps ``{e: c}`` for
+``sum_e c q^e``, not ``LaurentQ`` objects: almost every coefficient it
+meets is a single ``+-q^e``, a monomial factor of the rewrite table
+scales one in a single dict comprehension, ``q^-2 - 1`` is the sum of
+two, and a unit factor passes the dict on unchanged, which is safe
+because no coefficient dict is ever mutated.  ``_reduce`` converts
+``LaurentQ`` coefficients once on the way in and once on the way out;
+``_compare_strategies`` runs the kernel directly, lets both strategies
+share one cache of redex lists, and builds an ``NCPoly`` only to render
+a mismatch.  The kernel pops pending words, merges equal words and drops
+zero sums in exactly the order the ``LaurentQ`` arithmetic did, and the
+random strategy sees the same redex lists, so every ``rng.choice`` call,
+and with it the random walk, every step count and every report, stays
+as it was: the walk depends on the order of words and positions, never
+on how a coefficient is stored.
 
 Internally a word is a tuple of integer codes (for ambient ``n``: starred
 index i is code i, unstarred index i is code n+1+i), so the canonical
@@ -354,29 +372,55 @@ def _over_budget(step_cap: int) -> StepBudgetExceeded:
     )
 
 
-def _reduce(
-    terms: dict,
-    n: int,
-    pick,
-    rules: frozenset,
-    step_cap: int,
-) -> tuple[dict, int]:
-    """Drive a term multiset to normal form under a redex-picking strategy.
+def _qadd(a: dict, b: dict) -> dict:
+    """The exponent map of ``a + b`` as a new dict, zero sums dropped."""
+    s = dict(a)
+    for e, c in b.items():
+        v = s.get(e, 0) + c
+        if v:
+            s[e] = v
+        else:
+            del s[e]
+    return s
 
-    ``pick`` chooses one position from the list of every redex position of
-    a word.  Equal words are merged as they appear; this is sound because
-    reduction is linear over words.  Returns the normal terms and the
-    number of rule applications performed.
+
+def _qmerge(terms: dict, word: tuple[int, ...], coeff: dict) -> None:
+    """``_merge`` for exponent-map coefficients."""
+    old = terms.get(word)
+    if old is None:
+        terms[word] = coeff
+        return
+    s = _qadd(old, coeff)
+    if s:
+        terms[word] = s
+    else:
+        del terms[word]
+
+
+def _rewrite(
+    start: dict, table: dict, pick, step_cap: int, redexes_of: dict
+) -> tuple[dict, int]:
+    """The pair rewriter on exponent-map coefficients ``{e: c}`` of ``q^e``.
+
+    Drives ``start`` to normal form under the redex-picking strategy
+    ``pick``, which chooses one position from the ascending list of every
+    redex position of a word.  Equal words are merged as they appear; this
+    is sound because reduction is linear over words.  ``redexes_of`` caches
+    each word's redex list and may be shared by calls on the same table.
+    Coefficient dicts are never mutated, so words may share them.  Returns
+    the normal terms and the number of rule applications performed.
     """
-    table = _rewrite_table(n, frozenset(rules))
-    pending = dict(terms)
-    done: dict[tuple[int, ...], LaurentQ] = {}
+    pending = dict(start)
+    done: dict[tuple[int, ...], dict] = {}
     steps = 0
     while pending:
         word, coeff = pending.popitem()
-        redexes = [p for p in range(len(word) - 1) if (word[p], word[p + 1]) in table]
+        redexes = redexes_of.get(word)
+        if redexes is None:
+            redexes = [p for p in range(len(word) - 1) if (word[p], word[p + 1]) in table]
+            redexes_of[word] = redexes
         if not redexes:
-            _merge(done, word, coeff)
+            _qmerge(done, word, coeff)
             continue
         pos = pick(redexes)
         steps += 1
@@ -385,12 +429,51 @@ def _reduce(
         head = word[:pos]
         tail = word[pos + 2 :]
         for factor, repl in table[word[pos], word[pos + 1]]:
-            _merge(pending, head + repl + tail, coeff * factor)
+            f = factor._terms
+            if len(f) == 1:
+                ((fe, fc),) = f.items()
+                if fe == 0 and fc == 1:
+                    new = coeff
+                else:
+                    new = {e + fe: c * fc for e, c in coeff.items()}
+            else:  # q^-2 - 1
+                ((fe, fc), (ge, gc)) = f.items()
+                new = _qadd(
+                    {e + fe: c * fc for e, c in coeff.items()},
+                    {e + ge: c * gc for e, c in coeff.items()},
+                )
+            _qmerge(pending, head + repl + tail, new)
     return done, steps
 
 
+def _laurent_terms(raw: dict) -> dict:
+    return {w: LaurentQ._raw(c) for w, c in raw.items()}
+
+
+def _reduce(
+    terms: dict,
+    n: int,
+    pick,
+    rules: frozenset,
+    step_cap: int,
+) -> tuple[dict, int]:
+    """Drive terms with ``LaurentQ`` coefficients to normal form under ``pick``.
+
+    ``_rewrite`` on fresh redex lists, converting coefficients once on the
+    way in and once on the way out.
+    """
+    raw, steps = _rewrite(
+        {w: c._terms for w, c in terms.items()},
+        _rewrite_table(n, frozenset(rules)),
+        pick,
+        step_cap,
+        {},
+    )
+    return _laurent_terms(raw), steps
+
+
 def _leftmost(redexes):
-    return min(redexes)
+    return redexes[0]
 
 
 class _NormalProduct:
@@ -615,18 +698,21 @@ def _compare_strategies(
     Differing normal forms or broken weight homogeneity are recorded in
     ``report``; ``StepBudgetExceeded`` propagates to the caller.
     """
-    start = {word: LaurentQ.one()}
-    left_terms, left_steps = _reduce(start, n, _leftmost, ALL_RULES, cap)
-    rand_terms, rand_steps = _reduce(start, n, rng.choice, ALL_RULES, cap)
+    table = _rewrite_table(n, ALL_RULES)
+    start = {word: {0: 1}}
+    redexes_of: dict = {}
+    left, left_steps = _rewrite(start, table, _leftmost, cap, redexes_of)
+    rand, rand_steps = _rewrite(start, table, rng.choice, cap, redexes_of)
     report.max_steps = max(report.max_steps, left_steps, rand_steps)
-    left = NCPoly._raw(n, left_terms)
-    rand = NCPoly._raw(n, rand_terms)
-    degree = _weight(word, n + 1)
+    shift = n + 1
+    degree = _weight(word, shift)
     if left != rand:
-        report.mismatches.append((_render_word(word, n), str(left), str(rand)))
-    elif not left.is_zero() and left.u1_degree() != degree:
+        left_nf, rand_nf = (NCPoly._raw(n, _laurent_terms(t)) for t in (left, rand))
+        report.mismatches.append((_render_word(word, n), str(left_nf), str(rand_nf)))
+    elif left and {_weight(w, shift) for w in left} != {degree}:
+        left_degree = NCPoly._raw(n, _laurent_terms(left)).u1_degree()
         report.mismatches.append(
-            (_render_word(word, n), f"weight {left.u1_degree()}", f"weight {degree}")
+            (_render_word(word, n), f"weight {left_degree}", f"weight {degree}")
         )
 
 

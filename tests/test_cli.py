@@ -212,6 +212,12 @@ class TestNC:
         code, out, err = invoke(capsys, "nc", *action, "--expr", expr)
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("action", [["reduce", "--n", "1"], ["degree"]])
+    def test_exponent_capped(self, capsys, action):
+        code, out, err = invoke(capsys, "nc", *action, "--expr", "z0*39^100001")
+        message = "exponent exceeds 100000 in absolute value at offset 6"
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_degree_free_expansion_capped(self, capsys):
         code, out, err = invoke(capsys, "nc", "degree", "--expr", "(z0+z0s)^24")
         assert (code, out, err) == (1, "", "error: free expansion exceeds 1000000 term pairs\n")

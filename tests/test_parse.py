@@ -125,6 +125,15 @@ class TestErrors:
         with pytest.raises(NCSyntaxError, match=f"offset {MAX_NESTING + 3}$"):
             parse_expr("z0*" + "(" * (MAX_NESTING + 1) + "z0" + ")" * (MAX_NESTING + 1), 1)
 
+    def test_exponent_cap(self):
+        with pytest.raises(NCSyntaxError) as exc:
+            parse_expr("39^100001", 1)
+        assert exc.value.position == 3
+        with pytest.raises(NCSyntaxError, match="exceeds 100000 .* offset 4$"):
+            parse_expr("(q)^-100001", 1)
+        assert parse_expr("1^100000", 1) == 1
+        assert parse_expr("q^-1000000", 1) == LaurentQ.q_power(-(10**6))
+
     def test_sibling_parentheses_do_not_add_up(self):
         flat = "*".join(["(z0)"] * (2 * MAX_NESTING))
         assert parse_expr(flat, 1) == gen(1, 0) ** (2 * MAX_NESTING)

@@ -17,6 +17,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qcpn import sphere
 from qcpn.rings import LaurentQ
 from qcpn.sphere import (
     ALL_RULES,
@@ -387,8 +388,57 @@ class TestFuzz:
         assert set(d) == {"words", "max_steps", "mismatches", "passed"}
         assert d["passed"] is True and d["mismatches"] == []
 
+    def test_pinned_step_counts(self):
+        # any change to the rng stream or to step counting moves these
+        assert [fuzz_confluence(n, 6, 500, seed=0).max_steps for n in (1, 2, 3, 4)] == [
+            66, 210, 293, 1562
+        ]
+        assert [verify_defining_relations(n).max_steps for n in range(1, 9)] == [
+            5, 9, 17, 33, 65, 129, 257, 513
+        ]
+        assert [exhaustive_pair_check(n).max_steps for n in (1, 2, 3)] == [3, 5, 9]
+
+    def test_pinned_budget_report(self):
+        report = fuzz_confluence(2, 6, 40, seed=5, step_cap=3)
+        assert (report.words, len(report.mismatches), report.max_steps) == (40, 16, 3)
+        assert report.mismatches[0] == ("z1s*z2*z0s*z1s*z0s", "step budget exceeded", "")
+
+    def test_mismatch_is_reported(self, monkeypatch):
+        # R3 on z0 z0s with q^-4 - 1 instead of q^-2 - 1 breaks confluence
+        real = sphere._rewrite_table
+        reorder, broken = LaurentQ({-2: 1, 0: -1}), LaurentQ({-4: 1, 0: -1})
+
+        def broken_table(n, rules):
+            table = dict(real(n, rules))
+            pair = (n + 1, 0)
+            table[pair] = tuple((broken if f == reorder else f, w) for f, w in table[pair])
+            return table
+
+        monkeypatch.setattr(sphere, "_rewrite_table", broken_table)
+        report = fuzz_confluence(1, 4, 200, seed=1)
+        assert len(report.mismatches) == 6
+        assert report.mismatches[0] == (
+            "z0s*z0s*z0*z0s",
+            "z0s*z0s - q^-2*z1s*z0s*z0s*z1",
+            "z0s*z0s + (q^-6 - q^-4 - q^-2)*z1s*z0s*z0s*z1",
+        )
+
 
 class TestStepBudget:
+    @pytest.mark.parametrize("strategy", ["leftmost", "random"])
+    def test_pair_rewriter_boundary(self, strategy):
+        start = {(2, 0, 3, 1): LaurentQ.one()}  # z0 z0s z1 z1s, n=1
+
+        def reduce(cap):
+            pick = _leftmost if strategy == "leftmost" else random.Random(7).choice
+            return _reduce(start, 1, pick, ALL_RULES, cap)
+
+        terms, k = reduce(10**6)
+        assert k > 1
+        assert reduce(k) == (terms, k)
+        with pytest.raises(StepBudgetExceeded, match=f"exceeded {k - 1} rewrite steps"):
+            reduce(k - 1)
+
     def test_explicit_cap_exceeded(self):
         p = word_poly(1, [(1, False), (0, False)])
         with pytest.raises(StepBudgetExceeded):

@@ -38,11 +38,11 @@ sample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from math import comb
 from operator import mul
+from typing import NamedTuple
 
 from .corep import associated_class, fundamental_weights
 from .kclasses import line_class
@@ -198,8 +198,7 @@ def basis_inverse(n: int) -> Matrix:
     return inv
 
 
-@dataclass(frozen=True)
-class BasisCertificate:
+class BasisCertificate(NamedTuple):
     """Unimodularity witness: matrix, determinant, and integer inverse."""
 
     n: int

@@ -26,13 +26,6 @@ from functools import lru_cache
 from itertools import islice
 
 from . import __version__
-from .basis import basis_class, certify_basis
-from .corep import associated_class, fundamental_weights
-from .kclasses import line_class, restrict
-from .ncparse import _infer_n, parse_expr
-from .pairing import pairing_vector
-from .rings import TruncatedPoly
-from .sphere import _NormalProduct, fuzz_confluence, verify_defining_relations
 
 
 _CHUNKS_PER_WRITE = 4096
@@ -57,29 +50,43 @@ def _parse_coeffs(text: str) -> list[int]:
         raise ValueError(f"--coeffs expects comma-separated integers, got {text!r}")
 
 
-def _selected_class(args) -> tuple[TruncatedPoly, dict]:
+def _selected_class(args) -> tuple:
     """The class named by ``--line``, ``--basis`` or ``--coeffs``, and its params entry."""
     if args.line is not None:
+        from .kclasses import line_class
+
         return line_class(args.n, args.line), {"line": args.line}
     if getattr(args, "basis", None) is not None:
+        from .basis import basis_class
+
         return basis_class(args.n, args.basis), {"basis": args.basis}
+    from .rings import TruncatedPoly
+
     return TruncatedPoly(args.n, _parse_coeffs(args.coeffs)), {"coeffs": args.coeffs}
 
 
 # -- subcommand handlers: each returns (params, result, CSV rows or None) ----
+# Each imports the modules it runs when it is called, so a cold start of one
+# command loads only those (see the package docstring).
 
 
 def _run_kbasis(args):
+    from .basis import certify_basis
+
     cert = certify_basis(args.n)
     return {"n": args.n, "format": args.format}, cert.as_dict(), cert.matrix
 
 
 def _run_kclass_line(args):
+    from .kclasses import line_class
+
     c = line_class(args.n, args.m)
     return {"n": args.n, "m": args.m, "format": args.format}, c.as_dict(), [c.coeffs]
 
 
 def _run_kclass_assoc(args):
+    from .corep import associated_class, fundamental_weights
+
     w = fundamental_weights(args.su)
     c = associated_class(args.n, w)
     decomposition = [
@@ -96,6 +103,8 @@ def _run_kclass_assoc(args):
 
 
 def _run_pair(args):
+    from .pairing import pairing_vector
+
     c, selector = _selected_class(args)
     vec = pairing_vector(c)
     result = {
@@ -107,6 +116,8 @@ def _run_pair(args):
 
 
 def _run_restrict(args):
+    from .kclasses import restrict
+
     c, selector = _selected_class(args)
     restricted = restrict(c, args.target)
     params = {"n": args.n, "target": args.target, **selector}
@@ -119,12 +130,17 @@ def _degree_payload(poly) -> "int | str":
 
 
 def _run_nc_reduce(args):
+    from .ncparse import parse_expr
+    from .sphere import _NormalProduct
+
     nf = parse_expr(args.expr, args.n, _mul=_NormalProduct(args.n))
     result = {"normal_form": str(nf), "degree": _degree_payload(nf)}
     return {"n": args.n, "expr": args.expr}, result, None
 
 
 def _run_nc_degree(args):
+    from .ncparse import _infer_n, parse_expr
+
     n = args.n if args.n is not None else _infer_n(args.expr)
     p = parse_expr(args.expr, n)
     params = {"expr": args.expr}
@@ -134,6 +150,8 @@ def _run_nc_degree(args):
 
 
 def _run_nc_fuzz(args):
+    from .sphere import fuzz_confluence
+
     report = fuzz_confluence(args.n, args.max_len, args.trials, args.seed)
     params = {
         "n": args.n,
@@ -145,6 +163,8 @@ def _run_nc_fuzz(args):
 
 
 def _run_nc_relations(args):
+    from .sphere import verify_defining_relations
+
     report = verify_defining_relations(args.n)
     return {"n": args.n}, report.as_dict(), None
 

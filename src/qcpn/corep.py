@@ -13,24 +13,36 @@ classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections import Counter
 
 from .kclasses import line_class
 from .rings import TruncatedPoly
 
 
-@dataclass(frozen=True)
 class WeightVector:
-    """A nonempty multiset of circle weights, stored sorted."""
+    """A nonempty multiset of circle weights, stored sorted; immutable."""
 
-    weights: tuple[int, ...]
+    __slots__ = ("weights",)
 
     def __init__(self, weights):
         ws = tuple(sorted(int(w) for w in weights))
         if not ws:
             raise ValueError("weight vector must be nonempty")
         object.__setattr__(self, "weights", ws)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("WeightVector is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.weights == other.weights
+
+    def __hash__(self):
+        return hash(self.weights)
+
+    def __repr__(self) -> str:
+        return f"WeightVector(weights={self.weights!r})"
 
     def total(self) -> int:
         return sum(self.weights)

@@ -22,6 +22,17 @@ raised to a huge power would compute an integer of millions of digits
 before any budget applies.  ``q^e`` takes any exponent, because it is one
 monomial whatever ``e`` is.
 
+Nested powers pass that cap at every ``^``, so each power is budgeted
+by the size of its base as well: ``acc^e`` with ``e >= 0`` is a syntax
+error at the exponent's offset when ``e`` times the bit length of the
+sum of the absolute values of ``acc``'s integer coefficients exceeds
+``MAX_POWER_BITS``.  That product bounds the bit length of every
+coefficient of the free power, since the sum of absolute values is
+submultiplicative.  ``39^99999`` (6 bits times 99999) passes, and
+``(39^99999)^99999`` is refused as soon as its base is known, instead of
+squaring a 159k-digit integer on its way to some 5 * 10^10 bits.  A
+negative power applies only to ``+-q^k``, whose powers stay monomials.
+
 ``qpow`` builds ``q^e`` as one scalar; through ``factor`` it would cost a
 chain of products, and normal forms fed back to the parser are full of
 ``q^e``.
@@ -45,6 +56,7 @@ from .sphere import NCPoly
 
 MAX_NESTING = 100  # parenthesis levels
 MAX_EXPONENT = 10**5  # |e| of a '^' exponent
+MAX_POWER_BITS = 10**6  # a power's exponent times the coefficient bits of its base
 MAX_FREE_TERMS = 10**6  # term pairs of one free product
 
 
@@ -80,6 +92,7 @@ _TOKEN = re.compile(
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
+    new = tuple.__new__  # builds a _Token without the NamedTuple's Python-level __new__
     for m in _TOKEN.finditer(text):
         kind = m.lastgroup
         pos = m.start(kind)
@@ -91,7 +104,7 @@ def _tokenize(text: str) -> list[_Token]:
             value = (int(m["index"]), m["star"] == "s")
         else:
             value = int(m[kind]) if kind == "INT" else m[kind]
-        tokens.append(_Token(kind, value, pos))
+        tokens.append(new(_Token, (kind, value, pos)))
         if kind == "END":
             return tokens
 
@@ -99,6 +112,11 @@ def _tokenize(text: str) -> list[_Token]:
 def _infer_n(text: str) -> int:
     """The largest generator index in ``text``, or 0 if it has none."""
     return max((tok.value[0] for tok in _tokenize(text) if tok.kind == "GEN"), default=0)
+
+
+def _coefficient_bits(p: NCPoly) -> int:
+    """Bit length of the sum of the absolute values of ``p``'s integer coefficients."""
+    return sum(abs(c) for coeff in p._terms.values() for c in coeff._terms.values()).bit_length()
 
 
 def _free_product(a: NCPoly, b: NCPoly) -> NCPoly:
@@ -163,6 +181,10 @@ class _Parser:
             if abs(e) > MAX_EXPONENT:
                 raise NCSyntaxError(f"exponent exceeds {MAX_EXPONENT} in absolute value", at)
             if e >= 0:
+                if e * _coefficient_bits(acc) > MAX_POWER_BITS:
+                    raise NCSyntaxError(
+                        f"power exceeds the budget of {MAX_POWER_BITS} coefficient bits", at
+                    )
                 acc = binary_power(acc, e, NCPoly.one(self.n), self.mul)
             else:
                 acc = self._invert_scalar(acc, e, caret.pos)

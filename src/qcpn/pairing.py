@@ -9,8 +9,6 @@ Chern number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .rings import TruncatedPoly
 
 
@@ -26,16 +24,30 @@ def index_pairing(k: int, c: TruncatedPoly) -> int:
     return -coeff if k % 2 else coeff
 
 
-@dataclass(frozen=True)
 class PairingVector:
-    """All ``n + 1`` pairings of one class, ordered by generator index."""
+    """All ``n + 1`` pairings of one class, ordered by generator index; immutable."""
 
-    n: int
-    values: tuple[int, ...]
+    __slots__ = ("n", "values")
 
-    def __post_init__(self):
-        if len(self.values) != self.n + 1:
+    def __init__(self, n: int, values: tuple[int, ...]):
+        if len(values) != n + 1:
             raise ValueError("pairing vector must have length n + 1")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "values", values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PairingVector is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.values) == (other.n, other.values)
+
+    def __hash__(self):
+        return hash((self.n, self.values))
+
+    def __repr__(self) -> str:
+        return f"PairingVector(n={self.n!r}, values={self.values!r})"
 
     def rank(self) -> int:
         return self.values[0]

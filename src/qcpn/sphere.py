@@ -64,7 +64,6 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 from typing import Iterable, NamedTuple
@@ -641,13 +640,24 @@ def defining_relations(n: int) -> list[tuple[str, NCPoly]]:
     return rels
 
 
-@dataclass
 class ReductionReport:
     """Outcome of a batch reduction check; empty mismatches means pass."""
 
-    words: int = 0
-    max_steps: int = 0
-    mismatches: list[tuple[str, str, str]] = field(default_factory=list)
+    def __init__(self, words: int = 0, max_steps: int = 0, mismatches: list | None = None):
+        self.words = words
+        self.max_steps = max_steps
+        self.mismatches = [] if mismatches is None else mismatches
+
+    def __eq__(self, other):  # defining __eq__ leaves the mutable report unhashable
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        return (
+            f"ReductionReport(words={self.words!r}, max_steps={self.max_steps!r}, "
+            f"mismatches={self.mismatches!r})"
+        )
 
     @property
     def passed(self) -> bool:
@@ -749,10 +759,12 @@ def fuzz_confluence(
 def exhaustive_pair_check(n: int, step_cap: int | None = None) -> ReductionReport:
     """Reduce every two-letter word under both strategies, exhaustively.
 
-    The random strategy is immaterial on a single redex, so this checks
-    agreement of all rule orientations on overlap-free inputs and the
-    weight homogeneity of every rule.  An exhausted step budget raises
-    ``StepBudgetExceeded``.
+    A two-letter word holds at most one redex, so the random strategy is
+    immaterial and this checks agreement of all rule orientations on
+    overlap-free inputs and the weight homogeneity of every rule.  It
+    cannot detect an overlap failure: an ambiguity needs two redexes
+    that share a letter, which takes a word of at least three letters.
+    An exhausted step budget raises ``StepBudgetExceeded``.
     """
     if n < 0:
         raise ValueError("ambient index n must be nonnegative")

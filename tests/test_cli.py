@@ -218,6 +218,27 @@ class TestNC:
         message = "exponent exceeds 100000 in absolute value at offset 6"
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("action", [["reduce", "--n", "1"], ["degree"]])
+    def test_nested_power_budget(self, capsys, action):
+        # 39^99999 has 528531 bits: one more power of it is within the budget, two are not
+        code, out, _ = invoke(capsys, "nc", *action, "--expr", "(39^99999)^1")
+        assert code == 0 and json.loads(out)["result"]["degree"] == 0
+        code, out, err = invoke(capsys, "nc", *action, "--expr", "(39^99999)^2")
+        message = "power exceeds the budget of 1000000 coefficient bits at offset 11"
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("action", [["reduce", "--n", "1"], ["degree"]])
+    def test_nested_power_refused_before_it_is_computed(self, action):
+        # 39^(99999^2) would have some 5 * 10^10 bits
+        out = subprocess.run(
+            [sys.executable, "-m", "qcpn", "nc", *action, "--expr", "(39^99999)^99999"],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        message = "power exceeds the budget of 1000000 coefficient bits at offset 11"
+        assert (out.returncode, out.stdout, out.stderr) == (1, "", f"error: {message}\n")
+
     def test_degree_free_expansion_capped(self, capsys):
         code, out, err = invoke(capsys, "nc", "degree", "--expr", "(z0+z0s)^24")
         assert (code, out, err) == (1, "", "error: free expansion exceeds 1000000 term pairs\n")

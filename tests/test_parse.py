@@ -3,7 +3,15 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from qcpn.ncparse import MAX_FREE_TERMS, MAX_NESTING, NCSyntaxError, parse_expr
+from qcpn.ncparse import (
+    MAX_FREE_TERMS,
+    MAX_NESTING,
+    MAX_POWER_BITS,
+    NCSyntaxError,
+    _Token,
+    _tokenize,
+    parse_expr,
+)
 from qcpn.rings import LaurentQ
 from qcpn.sphere import Generator, NCPoly, _NormalProduct, normal_form
 
@@ -74,6 +82,24 @@ class TestGrammar:
         assert len(products) == 5
 
 
+class TestTokens:
+    def test_kinds_values_and_offsets(self):
+        tokens = _tokenize(" z12s^-2 +q*7")
+        assert tokens == [
+            ("GEN", (12, True), 1),
+            ("OP", "^", 5),
+            ("OP", "-", 6),
+            ("INT", 2, 7),
+            ("OP", "+", 9),
+            ("Q", "q", 10),
+            ("OP", "*", 11),
+            ("INT", 7, 12),
+            ("END", "", 13),
+        ]
+        assert {type(tok) for tok in tokens} == {_Token}
+        assert (tokens[0].kind, tokens[0].value, tokens[0].pos) == ("GEN", (12, True), 1)
+
+
 class TestErrors:
     def test_index_out_of_range(self):
         with pytest.raises(NCSyntaxError) as exc:
@@ -133,6 +159,22 @@ class TestErrors:
             parse_expr("(q)^-100001", 1)
         assert parse_expr("1^100000", 1) == 1
         assert parse_expr("q^-1000000", 1) == LaurentQ.q_power(-(10**6))
+
+    def test_nested_power_budget(self):
+        # 2^49999 has 50000 bits, so ^20 sits exactly on the budget
+        assert 20 * (2**49999).bit_length() == MAX_POWER_BITS
+        assert parse_expr("(2^49999)^20", 1) == NCPoly.scalar(1, 2**999980)
+        with pytest.raises(NCSyntaxError) as exc:
+            parse_expr("(2^50000)^20", 1)
+        assert exc.value.position == 10
+        assert str(exc.value) == (
+            f"power exceeds the budget of {MAX_POWER_BITS} coefficient bits at offset 10"
+        )
+        # the budget is on the sum of all coefficients, not on the largest one
+        two_terms = parse_expr("(2^49998 + 2^49998*z0)^20", 1)
+        assert two_terms == NCPoly.scalar(1, 2 ** (49998 * 20)) * (1 + gen(1, 0)) ** 20
+        with pytest.raises(NCSyntaxError, match="offset 23$"):
+            parse_expr("(2^49999 + 2^49999*z0)^20", 1)
 
     def test_sibling_parentheses_do_not_add_up(self):
         flat = "*".join(["(z0)"] * (2 * MAX_NESTING))

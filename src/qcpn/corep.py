@@ -22,8 +22,6 @@ from .rings import TruncatedPoly
 class WeightVector:
     """A nonempty multiset of circle weights, stored sorted; immutable."""
 
-    __slots__ = ("weights",)
-
     def __init__(self, weights):
         ws = tuple(sorted(int(w) for w in weights))
         if not ws:

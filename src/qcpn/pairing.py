@@ -27,8 +27,6 @@ def index_pairing(k: int, c: TruncatedPoly) -> int:
 class PairingVector:
     """All ``n + 1`` pairings of one class, ordered by generator index; immutable."""
 
-    __slots__ = ("n", "values")
-
     def __init__(self, n: int, values: tuple[int, ...]):
         if len(values) != n + 1:
             raise ValueError("pairing vector must have length n + 1")

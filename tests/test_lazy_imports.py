@@ -8,7 +8,9 @@ package's record classes are written out by hand, since importing
 semantics.
 """
 
+import copy
 import json
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -125,7 +127,7 @@ def test_frozen_records(make, field, other, text):
     assert repr(a) == text
     with pytest.raises(AttributeError):
         setattr(a, field, getattr(other, field))
-    assert a == b
+    assert a == b == pickle.loads(pickle.dumps(a)) == copy.deepcopy(a)
 
 
 def test_reduction_report_is_a_mutable_record():
@@ -137,3 +139,4 @@ def test_reduction_report_is_a_mutable_record():
     assert repr(report) == "ReductionReport(words=2, max_steps=0, mismatches=[('w', 'a', 'b')])"
     with pytest.raises(TypeError):
         hash(report)
+    assert pickle.loads(pickle.dumps(report)) == report == copy.deepcopy(report)

@@ -7,7 +7,8 @@ seeded random-redex strategy -- and reports any normal-form mismatches,
 step-budget hits, or degree violations.  Small spaces additionally get an
 exhaustive sweep over all two-letter words under the same step budget; a
 sweep that runs out of budget counts as a failed report.  Exit code 0 means
-every reduction agreed.
+every reduction agreed; an invalid ``QCPN_STEP_CAP`` prints ``error: ...``
+and exits 1.
 
 Usage:
     python3 scripts/fuzz_campaign.py
@@ -20,7 +21,7 @@ import argparse
 import sys
 import time
 
-from qcpn.sphere import StepBudgetExceeded, exhaustive_pair_check, fuzz_confluence
+from qcpn.sphere import StepBudgetExceeded, _step_cap, exhaustive_pair_check, fuzz_confluence
 
 
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
@@ -55,6 +56,11 @@ def _report(head: str, rep, tail: str = "") -> bool:
 
 
 def run(args: argparse.Namespace) -> int:
+    try:
+        _step_cap(args.step_cap)  # without --step-cap, QCPN_STEP_CAP must be valid
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     failures = 0
     start = time.perf_counter()
     for n in range(args.min_n, min(args.max_n, args.exhaustive_max_n) + 1):

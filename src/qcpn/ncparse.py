@@ -32,6 +32,11 @@ submultiplicative.  ``39^99999`` (6 bits times 99999) passes, and
 ``(39^99999)^99999`` is refused as soon as its base is known, instead of
 squaring a 159k-digit integer on its way to some 5 * 10^10 bits.  A
 negative power applies only to ``+-q^k``, whose powers stay monomials.
+A chain of ``*`` passes both caps at every factor, so each product is
+budgeted the same way: ``a*b`` is a syntax error at the ``*``'s offset
+when the coefficient bits of ``a`` and of ``b`` add up to more than
+``MAX_POWER_BITS``, which bounds the bits of the product by the same
+submultiplicativity.  ``39^99999*39^99999`` is refused at once.
 
 ``qpow`` builds ``q^e`` as one scalar; through ``factor`` it would cost a
 chain of products, and normal forms fed back to the parser are full of
@@ -56,7 +61,7 @@ from .sphere import NCPoly
 
 MAX_NESTING = 100  # parenthesis levels
 MAX_EXPONENT = 10**5  # |e| of a '^' exponent
-MAX_POWER_BITS = 10**6  # a power's exponent times the coefficient bits of its base
+MAX_POWER_BITS = 10**6  # coefficient bits of a power (exponent times base) or a product
 MAX_FREE_TERMS = 10**6  # term pairs of one free product
 
 
@@ -116,7 +121,7 @@ def _infer_n(text: str) -> int:
 
 def _coefficient_bits(p: NCPoly) -> int:
     """Bit length of the sum of the absolute values of ``p``'s integer coefficients."""
-    return sum(abs(c) for coeff in p._terms.values() for c in coeff._terms.values()).bit_length()
+    return sum(abs(c) for coeff in p._terms.values() for c in coeff.values()).bit_length()
 
 
 def _free_product(a: NCPoly, b: NCPoly) -> NCPoly:
@@ -168,8 +173,13 @@ class _Parser:
     def term(self) -> NCPoly:
         acc = self.factor()
         while self.is_op("*"):
-            self.advance()
-            acc = self.mul(acc, self.factor())
+            star = self.advance()
+            rhs = self.factor()
+            if _coefficient_bits(acc) + _coefficient_bits(rhs) > MAX_POWER_BITS:
+                raise NCSyntaxError(
+                    f"product exceeds the budget of {MAX_POWER_BITS} coefficient bits", star.pos
+                )
+            acc = self.mul(acc, rhs)
         return acc
 
     def factor(self) -> NCPoly:

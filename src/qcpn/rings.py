@@ -14,6 +14,11 @@ place that decides how an ``int`` meets an element, how ``-``, ``==``,
 truth and ``**`` follow from ``+``, unary ``-`` and ``*``, and how an
 element is written as a signed sum of monomials.
 
+A Laurent polynomial is stored as an exponent map ``{e: c}`` with no zero
+coefficient.  ``_qadd`` and ``_qmul`` are the sum and product of such
+maps; ``LaurentQ`` wraps their results, and ``sphere.NCPoly`` keeps its
+coefficients as bare maps and calls them directly.
+
 No floating point is used anywhere; Python integers are exact at any size.
 """
 
@@ -66,6 +71,41 @@ def _signed_sum(bodies) -> str:
         else:
             parts.append(f"-{body}" if c < 0 else body)
     return " ".join(parts) if parts else "0"
+
+
+def _qadd(a: dict, b: dict) -> dict:
+    """The exponent map of ``a + b`` as a new dict, zero sums dropped."""
+    s = dict(a)
+    for e, c in b.items():
+        v = s.get(e, 0) + c
+        if v:
+            s[e] = v
+        else:
+            del s[e]
+    return s
+
+
+def _qmul(a: dict, b: dict) -> dict:
+    """The exponent map of ``a * b`` as a new dict, zero sums dropped."""
+    if not a or not b:
+        return {}
+    # single-monomial factors dominate in the rewrite engines
+    if len(b) == 1:
+        ((e2, c2),) = b.items()
+        return {e + e2: c * c2 for e, c in a.items()}
+    if len(a) == 1:
+        ((e1, c1),) = a.items()
+        return {e1 + e: c1 * c for e, c in b.items()}
+    prod = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 + e2
+            s = prod.get(e, 0) + c1 * c2
+            if s:
+                prod[e] = s
+            else:
+                del prod[e]
+    return prod
 
 
 class _Ring:
@@ -193,24 +233,13 @@ class LaurentQ(_Ring):
         return hash(frozenset(self._terms.items()))
 
     def __neg__(self) -> "LaurentQ":
-        out = LaurentQ()
-        out._terms = {e: -c for e, c in self._terms.items()}
-        return out
+        return LaurentQ._raw({e: -c for e, c in self._terms.items()})
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        merged = dict(self._terms)
-        for e, c in other._terms.items():
-            s = merged.get(e, 0) + c
-            if s:
-                merged[e] = s
-            else:
-                merged.pop(e, None)
-        out = LaurentQ()
-        out._terms = merged
-        return out
+        return LaurentQ._raw(_qadd(self._terms, other._terms))
 
     __radd__ = __add__
 
@@ -218,29 +247,7 @@ class LaurentQ(_Ring):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self._terms, other._terms
-        if not a or not b:
-            return LaurentQ()
-        # single-monomial factors dominate in the rewrite engine
-        if len(b) == 1:
-            ((e2, c2),) = b.items()
-            prod = {e + e2: c * c2 for e, c in a.items()}
-        elif len(a) == 1:
-            ((e1, c1),) = a.items()
-            prod = {e1 + e: c1 * c for e, c in b.items()}
-        else:
-            prod = {}
-            for e1, c1 in a.items():
-                for e2, c2 in b.items():
-                    e = e1 + e2
-                    s = prod.get(e, 0) + c1 * c2
-                    if s:
-                        prod[e] = s
-                    else:
-                        del prod[e]
-        out = LaurentQ()
-        out._terms = prod
-        return out
+        return LaurentQ._raw(_qmul(self._terms, other._terms))
 
     __rmul__ = __mul__
 

@@ -38,21 +38,21 @@ The pair rewriter ``_rewrite`` remains for the strategy comparisons of
 ``fuzz_confluence``, ``exhaustive_pair_check`` and
 ``verify_defining_relations``.  It rewrites one redex at a time, at the
 position a caller-chosen strategy picks from the word's ascending redex
-list.  Its coefficients are plain exponent maps ``{e: c}`` for
-``sum_e c q^e``, not ``LaurentQ`` objects: almost every coefficient it
-meets is a single ``+-q^e``, a monomial factor of the rewrite table
-scales one in a single dict comprehension, ``q^-2 - 1`` is the sum of
-two, and a unit factor passes the dict on unchanged, which is safe
-because no coefficient dict is ever mutated.  ``_reduce`` converts
-``LaurentQ`` coefficients once on the way in and once on the way out;
-``_compare_strategies`` runs the kernel directly, lets both strategies
-share one cache of redex lists, and builds an ``NCPoly`` only to render
-a mismatch.  The kernel pops pending words, merges equal words and drops
-zero sums in exactly the order the ``LaurentQ`` arithmetic did, and the
-random strategy sees the same redex lists, so every ``rng.choice`` call,
-and with it the random walk, every step count and every report, stays
-as it was: the walk depends on the order of words and positions, never
-on how a coefficient is stored.
+list.  The two loops stay apart because each merged form was slower on
+one workload (measured on a 2-vCPU Xeon VM): running the letter-append
+through ``_rewrite``'s full redex scan made ``z1^3000*z0`` 8x slower
+(0.22 to 1.67 s), and giving ``_rewrite`` the windows of ``_settle``
+made the ``nc-fuzz`` benchmark 11-33 % slower.
+
+Every coefficient, in ``NCPoly`` and in both engines, has one
+representation: an exponent map ``{e: c}`` for ``sum_e c q^e`` with no
+zero coefficient, added and multiplied by ``rings._qadd`` and
+``rings._qmul`` and merged into a term dict by ``_qmerge``.  ``LaurentQ``
+is only the public face: inputs are coerced to maps, and ``terms()`` and
+``coefficient()`` wrap a map on the way out.  No coefficient map is ever
+mutated, so terms may share them; ``_rewrite`` passes a map on unchanged
+through a unit factor of the rewrite table and scales it by a monomial
+factor in one dict comprehension.
 
 Internally a word is a tuple of integer codes (for ambient ``n``: starred
 index i is code i, unstarred index i is code n+1+i), so the canonical
@@ -68,7 +68,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterable, NamedTuple
 
-from .rings import LaurentQ, _monomial, _Ring, _signed_sum
+from .rings import LaurentQ, _monomial, _qadd, _qmul, _Ring, _signed_sum
 
 DEFAULT_STEP_CAP = 10**6
 STEP_CAP_ENV = "QCPN_STEP_CAP"
@@ -95,9 +95,12 @@ def _step_cap(step_cap: int | None) -> int:
     raw = os.environ.get(STEP_CAP_ENV)
     if raw is None:
         return DEFAULT_STEP_CAP
-    cap = int(raw)
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
     if cap <= 0:
-        raise ValueError(f"{STEP_CAP_ENV} must be positive, got {cap}")
+        raise ValueError(f"{STEP_CAP_ENV} must be a positive integer, got {raw!r}")
     return cap
 
 
@@ -122,14 +125,24 @@ def _render_word(word: tuple[int, ...], n: int) -> str:
     return "*".join(str(_decode(c, n)) for c in word)
 
 
-def _merge(terms: dict, word: tuple[int, ...], coeff: LaurentQ) -> None:
-    """Add ``coeff`` to the coefficient of ``word``, dropping a zero sum."""
-    s = terms.get(word)
-    s = coeff if s is None else s + coeff
+def _qmap(c) -> dict:
+    """The exponent map of an ``int``, a ``LaurentQ`` or a mapping ``{e: c}``."""
+    if isinstance(c, LaurentQ):
+        return c._terms
+    return LaurentQ({0: c} if isinstance(c, int) else c)._terms
+
+
+def _qmerge(terms: dict, word: tuple[int, ...], coeff: dict) -> None:
+    """Add the nonzero map ``coeff`` to the coefficient of ``word``, dropping a zero sum."""
+    old = terms.get(word)
+    if old is None:
+        terms[word] = coeff
+        return
+    s = _qadd(old, coeff)
     if s:
         terms[word] = s
     else:
-        terms.pop(word, None)
+        del terms[word]
 
 
 class NCPoly(_Ring):
@@ -137,7 +150,8 @@ class NCPoly(_Ring):
 
     Immutable; no relation is applied implicitly.  Multiplication is the
     free concatenation product, and ``normal_form`` is the explicit
-    reduction.
+    reduction.  ``terms`` maps words of codes to coefficients, each an
+    ``int``, a ``LaurentQ`` or an exponent map ``{e: c}``.
     """
 
     __slots__ = ("n", "_terms")
@@ -147,15 +161,14 @@ class NCPoly(_Ring):
     def __init__(self, n: int, terms=None):
         if n < 0:
             raise ValueError("ambient index n must be nonnegative")
-        clean: dict[tuple[int, ...], LaurentQ] = {}
+        clean: dict[tuple[int, ...], dict] = {}
         if terms:
             top = 2 * n + 1
             for word, coeff in dict(terms).items():
                 word = tuple(int(c) for c in word)
                 if any(not 0 <= c <= top for c in word):
                     raise ValueError(f"word {word} has codes outside 0..{top}")
-                if not isinstance(coeff, LaurentQ):
-                    coeff = LaurentQ.from_int(coeff)
+                coeff = _qmap(coeff)
                 if coeff:
                     clean[word] = coeff
         object.__setattr__(self, "n", n)
@@ -177,26 +190,27 @@ class NCPoly(_Ring):
 
     @classmethod
     def one(cls, n: int) -> "NCPoly":
-        return cls._raw(n, {(): LaurentQ.one()})
+        return cls._raw(n, {(): {0: 1}})
 
     @classmethod
     def scalar(cls, n: int, c) -> "NCPoly":
-        c = c if isinstance(c, LaurentQ) else LaurentQ.from_int(c)
+        c = _qmap(c)
         return cls._raw(n, {(): c} if c else {})
 
     @classmethod
     def gen(cls, n: int, index: int, starred: bool = False) -> "NCPoly":
         code = _encode(Generator(index, starred), n)
-        return cls._raw(n, {(code,): LaurentQ.one()})
+        return cls._raw(n, {(code,): {0: 1}})
 
     @classmethod
     def from_terms(cls, n: int, terms: Iterable) -> "NCPoly":
         """Build from ``(coefficient, [Generator, ...])`` pairs."""
-        acc: dict[tuple[int, ...], LaurentQ] = {}
+        acc: dict[tuple[int, ...], dict] = {}
         for coeff, gens in terms:
             word = tuple(_encode(g, n) for g in gens)
-            coeff = coeff if isinstance(coeff, LaurentQ) else LaurentQ.from_int(coeff)
-            _merge(acc, word, coeff)
+            coeff = _qmap(coeff)
+            if coeff:
+                _qmerge(acc, word, coeff)
         return cls._raw(n, acc)
 
     def _constant(self, c) -> "NCPoly | None":
@@ -217,16 +231,16 @@ class NCPoly(_Ring):
         """Canonically ordered ``(word of Generators, coefficient)`` pairs."""
         n = self.n
         for word in sorted(self._terms, key=lambda w: (len(w), w)):
-            yield tuple(_decode(c, n) for c in word), self._terms[word]
+            yield tuple(_decode(c, n) for c in word), LaurentQ._raw(self._terms[word])
 
     def coefficient(self, gens: Iterable[Generator]) -> LaurentQ:
         word = tuple(_encode(g, self.n) for g in gens)
-        return self._terms.get(word, LaurentQ.zero())
+        return LaurentQ._raw(self._terms.get(word, {}))
 
     def __hash__(self):
         if not self._terms.keys() - {()}:  # a scalar hashes like its LaurentQ
-            return hash(self._terms.get((), LaurentQ.zero()))
-        return hash((self.n, frozenset(self._terms.items())))
+            return hash(LaurentQ._raw(self._terms.get((), {})))
+        return hash((self.n, frozenset((w, frozenset(c.items())) for w, c in self._terms.items())))
 
     # -- ring operations --------------------------------------------------
 
@@ -236,22 +250,24 @@ class NCPoly(_Ring):
             return NotImplemented
         merged = dict(self._terms)
         for word, coeff in other._terms.items():
-            _merge(merged, word, coeff)
+            _qmerge(merged, word, coeff)
         return NCPoly._raw(self.n, merged)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NCPoly._raw(self.n, {w: -c for w, c in self._terms.items()})
+        return NCPoly._raw(
+            self.n, {w: {e: -c for e, c in m.items()} for w, m in self._terms.items()}
+        )
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        prod: dict[tuple[int, ...], LaurentQ] = {}
+        prod: dict[tuple[int, ...], dict] = {}
         for w1, c1 in self._terms.items():
             for w2, c2 in other._terms.items():
-                _merge(prod, w1 + w2, c1 * c2)
+                _qmerge(prod, w1 + w2, _qmul(c1, c2))
         return NCPoly._raw(self.n, prod)
 
     def __rmul__(self, other):
@@ -263,7 +279,7 @@ class NCPoly(_Ring):
     def adjoint(self) -> "NCPoly":
         """The *-involution: reverse words, toggle stars, fix coefficients."""
         shift = self.n + 1
-        out: dict[tuple[int, ...], LaurentQ] = {}
+        out: dict[tuple[int, ...], dict] = {}
         for word, coeff in self._terms.items():
             flipped = tuple(
                 c - shift if c >= shift else c + shift for c in reversed(word)
@@ -299,7 +315,7 @@ class NCPoly(_Ring):
         """Integer coefficients after the commutative specialisation q = 1."""
         out = {}
         for word, coeff in self._terms.items():
-            v = coeff.at_q_one()
+            v = sum(coeff.values())
             if v:
                 out[word] = v
         return out
@@ -310,11 +326,10 @@ class NCPoly(_Ring):
         bodies = []
         for word in sorted(self._terms, key=lambda w: (len(w), w)):
             coeff = self._terms[word]
-            cterms = coeff.terms()
-            if len(cterms) > 1:
-                sign, body = 1, f"({coeff})"
+            if len(coeff) > 1:
+                sign, body = 1, f"({LaurentQ._raw(coeff)})"
             else:
-                ((e, sign),) = cterms.items()
+                ((e, sign),) = coeff.items()
                 body = _monomial(sign, "q", e)
             word_str = _render_word(word, self.n)
             if word_str:
@@ -371,31 +386,6 @@ def _over_budget(step_cap: int) -> StepBudgetExceeded:
     )
 
 
-def _qadd(a: dict, b: dict) -> dict:
-    """The exponent map of ``a + b`` as a new dict, zero sums dropped."""
-    s = dict(a)
-    for e, c in b.items():
-        v = s.get(e, 0) + c
-        if v:
-            s[e] = v
-        else:
-            del s[e]
-    return s
-
-
-def _qmerge(terms: dict, word: tuple[int, ...], coeff: dict) -> None:
-    """``_merge`` for exponent-map coefficients."""
-    old = terms.get(word)
-    if old is None:
-        terms[word] = coeff
-        return
-    s = _qadd(old, coeff)
-    if s:
-        terms[word] = s
-    else:
-        del terms[word]
-
-
 def _rewrite(
     start: dict, table: dict, pick, step_cap: int, redexes_of: dict
 ) -> tuple[dict, int]:
@@ -445,30 +435,11 @@ def _rewrite(
     return done, steps
 
 
-def _laurent_terms(raw: dict) -> dict:
-    return {w: LaurentQ._raw(c) for w, c in raw.items()}
-
-
 def _reduce(
-    terms: dict,
-    n: int,
-    pick,
-    rules: frozenset,
-    step_cap: int,
+    terms: dict, n: int, pick, rules: frozenset, step_cap: int
 ) -> tuple[dict, int]:
-    """Drive terms with ``LaurentQ`` coefficients to normal form under ``pick``.
-
-    ``_rewrite`` on fresh redex lists, converting coefficients once on the
-    way in and once on the way out.
-    """
-    raw, steps = _rewrite(
-        {w: c._terms for w, c in terms.items()},
-        _rewrite_table(n, frozenset(rules)),
-        pick,
-        step_cap,
-        {},
-    )
-    return _laurent_terms(raw), steps
+    """``_rewrite`` of ``terms`` under ``rules`` and ``pick``, on fresh redex lists."""
+    return _rewrite(terms, _rewrite_table(n, frozenset(rules)), pick, step_cap, {})
 
 
 def _leftmost(redexes):
@@ -503,13 +474,13 @@ class _NormalProduct:
 
     def __call__(self, left: NCPoly, right: NCPoly) -> NCPoly:
         table = self.table
-        out: dict[tuple[int, ...], LaurentQ] = {}
+        out: dict[tuple[int, ...], dict] = {}
         for word, coeff in right._terms.items():
             # word[normal_from:] holds no redex
             normal_from = len(word) - 1
             while normal_from > 0 and (word[normal_from - 1], word[normal_from]) not in table:
                 normal_from -= 1
-            heads = {w: c * coeff for w, c in left._terms.items()}
+            heads = {w: _qmul(c, coeff) for w, c in left._terms.items()}
             for j, x in enumerate(word):
                 pending, grown = {}, {}
                 for w, c in heads.items():
@@ -517,15 +488,15 @@ class _NormalProduct:
                         pos = len(w) - 1
                         pending[w + (x,)] = [c, pos, pos]
                     elif j >= normal_from:
-                        _merge(out, w + word[j:], c)
+                        _qmerge(out, w + word[j:], c)
                     else:
-                        _merge(grown, w + (x,), c)
+                        _qmerge(grown, w + (x,), c)
                 heads = self._settle(pending, grown)
                 if not heads:
                     break
             else:
                 for w, c in heads.items():
-                    _merge(out, w, c)
+                    _qmerge(out, w, c)
         return NCPoly._raw(self.n, out)
 
     def _settle(self, pending: dict, done: dict) -> dict:
@@ -542,7 +513,7 @@ class _NormalProduct:
             while pos <= hi and (word[pos], word[pos + 1]) not in table:
                 pos += 1
             if pos > hi:
-                _merge(done, word, coeff)
+                _qmerge(done, word, coeff)
                 continue
             self.steps += 1
             if self.steps > self.cap:
@@ -554,12 +525,12 @@ class _NormalProduct:
                 # R4's empty replacement shifts the pairs right of it by two
                 new_hi = max(pos + 1, hi) if repl else max(pos - 1, hi - 2)
                 new_word = head + repl + tail
-                new_coeff = coeff * factor
+                new_coeff = _qmul(coeff, factor._terms)
                 entry = pending.get(new_word)
                 if entry is None:
                     pending[new_word] = [new_coeff, lo, new_hi]
                 else:  # either window holds every redex of the word
-                    entry[0] = entry[0] + new_coeff
+                    entry[0] = _qadd(entry[0], new_coeff)
                     if not entry[0]:
                         del pending[new_word]
         return done
@@ -590,7 +561,7 @@ def project_to_s3(p: NCPoly) -> NCPoly:
     if p.n < 1:
         raise ValueError("ambient index must be at least 1")
     src_shift = p.n + 1
-    out: dict[tuple[int, ...], LaurentQ] = {}
+    out: dict[tuple[int, ...], dict] = {}
     for word, coeff in p._terms.items():
         image = []
         for c in word:
@@ -601,7 +572,7 @@ def project_to_s3(p: NCPoly) -> NCPoly:
                 break
             image.append(idx if starred else 2 + idx)
         if image is not None:
-            _merge(out, tuple(image), coeff)
+            _qmerge(out, tuple(image), coeff)
     return normal_form(NCPoly._raw(1, out))
 
 
@@ -684,9 +655,8 @@ def verify_defining_relations(n: int, step_cap: int | None = None) -> ReductionR
         terms, steps = _reduce(rel._terms, n, _leftmost, ALL_RULES, cap)
         report.words += 1
         report.max_steps = max(report.max_steps, steps)
-        nf = NCPoly._raw(n, terms)
-        if not nf.is_zero():
-            report.mismatches.append((name, str(nf), "0"))
+        if terms:
+            report.mismatches.append((name, str(NCPoly._raw(n, terms)), "0"))
         image = project_to_s3(rel)
         report.words += 1
         if not image.is_zero():
@@ -717,10 +687,10 @@ def _compare_strategies(
     shift = n + 1
     degree = _weight(word, shift)
     if left != rand:
-        left_nf, rand_nf = (NCPoly._raw(n, _laurent_terms(t)) for t in (left, rand))
+        left_nf, rand_nf = (NCPoly._raw(n, t) for t in (left, rand))
         report.mismatches.append((_render_word(word, n), str(left_nf), str(rand_nf)))
     elif left and {_weight(w, shift) for w in left} != {degree}:
-        left_degree = NCPoly._raw(n, _laurent_terms(left)).u1_degree()
+        left_degree = NCPoly._raw(n, left).u1_degree()
         report.mismatches.append(
             (_render_word(word, n), f"weight {left_degree}", f"weight {degree}")
         )

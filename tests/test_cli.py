@@ -239,6 +239,13 @@ class TestNC:
         message = "power exceeds the budget of 1000000 coefficient bits at offset 11"
         assert (out.returncode, out.stdout, out.stderr) == (1, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("action", [["reduce", "--n", "1"], ["degree"]])
+    def test_product_budget(self, capsys, action):
+        # 39^99999 has 528535 bits: the product of two exceeds the budget
+        code, out, err = invoke(capsys, "nc", *action, "--expr", "39^99999*39^99999")
+        message = "product exceeds the budget of 1000000 coefficient bits at offset 8"
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_degree_free_expansion_capped(self, capsys):
         code, out, err = invoke(capsys, "nc", "degree", "--expr", "(z0+z0s)^24")
         assert (code, out, err) == (1, "", "error: free expansion exceeds 1000000 term pairs\n")
@@ -270,6 +277,12 @@ class TestNC:
         assert code == 1 and out == ""
         assert err == "error: exceeded 1 rewrite steps (set QCPN_STEP_CAP to raise the cap)\n"
 
+    def test_step_cap_must_be_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("QCPN_STEP_CAP", "abc")
+        code, out, err = invoke(capsys, "nc", "reduce", "--n", "1", "--expr", "z1*z0")
+        message = "QCPN_STEP_CAP must be a positive integer, got 'abc'"
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_reduce_sphere_sum_power(self, capsys):
         # the free expansion has 3^12 words; expanding it first ran out of steps
         env = invoke_json(capsys, "nc", "reduce", "--n", "2", "--expr", "(z0*z0s+z1*z1s+z2*z2s)^6")
@@ -279,7 +292,7 @@ class TestNC:
         env = invoke_json(capsys, "nc", "reduce", "--n", "1", "--expr", "(z0+z0s)^12")
         half = normal_form(parse_expr("(z0+z0s)^6", 1))
         terms, _ = _reduce((half * half)._terms, 1, _leftmost, ALL_RULES, 10**7)
-        assert env["result"]["normal_form"] == str(NCPoly(1, terms))
+        assert env["result"]["normal_form"] == str(NCPoly._raw(1, terms))
 
     def test_degree_is_of_the_unreduced_input(self, capsys):
         expr = "z0*z1 - q*z1*z0 + 1"

@@ -176,6 +176,17 @@ class TestErrors:
         with pytest.raises(NCSyntaxError, match="offset 23$"):
             parse_expr("(2^49999 + 2^49999*z0)^20", 1)
 
+    def test_product_budget(self):
+        # factors of 499991 and 500009 bits sit exactly on the budget
+        assert (2**499990).bit_length() + (2**500008).bit_length() == MAX_POWER_BITS
+        assert parse_expr("(2^49999)^10*(2^62501)^8", 1) == NCPoly.scalar(1, 2**999998)
+        with pytest.raises(NCSyntaxError) as exc:
+            parse_expr("(2^49999)^10*(2^62502)^8", 1)
+        assert exc.value.position == 12
+        assert str(exc.value) == (
+            f"product exceeds the budget of {MAX_POWER_BITS} coefficient bits at offset 12"
+        )
+
     def test_sibling_parentheses_do_not_add_up(self):
         flat = "*".join(["(z0)"] * (2 * MAX_NESTING))
         assert parse_expr(flat, 1) == gen(1, 0) ** (2 * MAX_NESTING)
@@ -210,6 +221,22 @@ class TestFreeExpansionCap:
         expected = normal_form(parse_expr("(z0+z0s)^2", 1))
         monkeypatch.setattr("qcpn.ncparse.MAX_FREE_TERMS", 1)
         assert parse_expr("(z0+z0s)^2", 1, _mul=_NormalProduct(1)) == expected
+
+
+class TestLetterAppendSteps:
+    @pytest.mark.parametrize(
+        "expr, steps",
+        [
+            ("z0s^16*z0^16", 1496),
+            ("z0s^32*z0^32", 11440),
+            ("(z0+z0s)^16", 19638),
+            ("z1^3000*z0", 3000),
+        ],
+    )
+    def test_step_counts(self, expr, steps):
+        mul = _NormalProduct(1)
+        parse_expr(expr, 1, _mul=mul)
+        assert mul.steps == steps
 
 
 @st.composite

@@ -77,6 +77,14 @@ class TestFuzzCampaign:
         assert lines[0].startswith("n=1  exhaustive  FAIL  exceeded 1 rewrite steps")
         assert lines[-1].endswith(": 2 report(s) with mismatches")
 
+    def test_invalid_env_cap_is_an_error(self, fuzz_campaign, capsys, monkeypatch):
+        monkeypatch.setenv("QCPN_STEP_CAP", "abc")
+        argv = ["--max-n", "1", "--trials", "5", "--exhaustive-max-n", "1"]
+        assert fuzz_campaign.run(fuzz_campaign.parse_args(argv)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: QCPN_STEP_CAP must be a positive integer, got 'abc'\n"
+
     @pytest.mark.parametrize("max_len", ["1", "0"])
     def test_short_max_len_is_a_usage_error(self, fuzz_campaign, capsys, max_len):
         with pytest.raises(SystemExit) as exc:

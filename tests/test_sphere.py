@@ -171,7 +171,7 @@ class TestEngines:
     def test_every_short_word_matches_leftmost_rewriting(self, n, max_len, rules):
         for length in range(max_len + 1):
             for word in product(range(2 * n + 2), repeat=length):
-                start = {word: LaurentQ.one()}
+                start = {word: {0: 1}}
                 expected, _ = _reduce(start, n, _leftmost, rules, 10**6)
                 got = normal_form(NCPoly(n, start), rules=rules)
                 assert got == NCPoly(n, expected), word
@@ -427,7 +427,7 @@ class TestFuzz:
 class TestStepBudget:
     @pytest.mark.parametrize("strategy", ["leftmost", "random"])
     def test_pair_rewriter_boundary(self, strategy):
-        start = {(2, 0, 3, 1): LaurentQ.one()}  # z0 z0s z1 z1s, n=1
+        start = {(2, 0, 3, 1): {0: 1}}  # z0 z0s z1 z1s, n=1
 
         def reduce(cap):
             pick = _leftmost if strategy == "leftmost" else random.Random(7).choice
@@ -453,9 +453,10 @@ class TestStepBudget:
         assert normal_form(p) is not None
 
     def test_env_cap_validated(self, monkeypatch):
-        monkeypatch.setenv("QCPN_STEP_CAP", "0")
-        with pytest.raises(ValueError):
-            normal_form(NCPoly.one(1))
+        for raw in ("0", "abc"):
+            monkeypatch.setenv("QCPN_STEP_CAP", raw)
+            with pytest.raises(ValueError, match=f"must be a positive integer, got '{raw}'$"):
+                normal_form(NCPoly.one(1))
 
     def test_explicit_cap_wins_over_env(self, monkeypatch):
         monkeypatch.setenv("QCPN_STEP_CAP", "1")
@@ -549,6 +550,11 @@ class TestNCPolyPlumbing:
             (Generator(0, True),),
             (Generator(1, False),),
         ]
+        # coefficients are stored as exponent maps and handed out as LaurentQ
+        assert all(type(c) is LaurentQ for _, c in p.terms())
+        for word in ([Generator(1, False)], [Generator(2, True)]):
+            assert type(p.coefficient(word)) is LaurentQ
+        assert p.coefficient([Generator(2, True)]) == 0
 
     def test_immutability(self):
         p = NCPoly.one(1)

@@ -14,6 +14,7 @@ classes.
 from __future__ import annotations
 
 from collections import Counter
+from operator import index
 
 from .kclasses import line_class
 from .rings import TruncatedPoly
@@ -23,7 +24,7 @@ class WeightVector:
     """A nonempty multiset of circle weights, stored sorted; immutable."""
 
     def __init__(self, weights):
-        ws = tuple(sorted(int(w) for w in weights))
+        ws = tuple(sorted(index(w) for w in weights))
         if not ws:
             raise ValueError("weight vector must be nonempty")
         object.__setattr__(self, "weights", ws)

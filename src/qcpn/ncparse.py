@@ -56,7 +56,7 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from .rings import LaurentQ, binary_power
+from .rings import binary_power
 from .sphere import NCPoly
 
 MAX_NESTING = 100  # parenthesis levels
@@ -210,16 +210,15 @@ class _Parser:
         return -tok.value if negate else tok.value
 
     def _invert_scalar(self, base: NCPoly, e: int, pos: int) -> NCPoly:
-        # Negative powers only make sense for the invertible monomials +-q^k.
-        terms = dict(base.terms())
-        if list(terms) != [()]:
+        # Negative powers only make sense for the invertible monomials +-q^k,
+        # and (k q^exp)^e is k q^(exp e) for odd e and q^(exp e) for even e.
+        if list(base._terms) != [()]:
             raise NCSyntaxError("negative exponent on a non-scalar factor", pos)
-        monos = list(terms[()].terms().items())
+        monos = list(base._terms[()].items())
         if len(monos) != 1 or monos[0][1] not in (1, -1):
             raise NCSyntaxError("negative exponent on a non-invertible scalar", pos)
         ((exp, k),) = monos
-        inv = LaurentQ.q_power(-exp, k)
-        return NCPoly.scalar(base.n, inv**(-e))
+        return NCPoly.scalar(base.n, {exp * e: k if e % 2 else 1})
 
     def primary(self) -> NCPoly:
         tok = self.advance()
@@ -230,7 +229,7 @@ class _Parser:
             if self.is_op("^"):
                 self.advance()
                 e = self.signed_int()
-            return NCPoly.scalar(self.n, LaurentQ.q_power(e))
+            return NCPoly.scalar(self.n, {e: 1})
         if tok.kind == "GEN":
             index, starred = tok.value
             if index > self.n:

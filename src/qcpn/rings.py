@@ -24,7 +24,7 @@ No floating point is used anywhere; Python integers are exact at any size.
 
 from __future__ import annotations
 
-from operator import mul as _times
+from operator import index, mul as _times
 from typing import Iterable, Mapping
 
 
@@ -177,8 +177,9 @@ class LaurentQ(_Ring):
         clean = {}
         if terms:
             for e, c in terms.items():
+                e, c = index(e), index(c)
                 if c:
-                    clean[int(e)] = int(c)
+                    clean[e] = c
         self._terms = clean
 
     @classmethod
@@ -223,9 +224,6 @@ class LaurentQ(_Ring):
     def at_q_one(self) -> int:
         """Evaluate at ``q = 1`` (the classical specialisation)."""
         return sum(self._terms.values())
-
-    def __bool__(self) -> bool:  # the rewrite engine's zero test: no is_zero() call
-        return bool(self._terms)
 
     def __hash__(self):
         if not self._terms.keys() - {0}:  # a constant hashes like its int
@@ -280,7 +278,7 @@ class TruncatedPoly(_Ring):
                     f"polynomial order {coeffs.n} does not match n={n}"
                 )
             coeffs = coeffs.coeffs
-        cs = [int(c) for c in coeffs]
+        cs = [index(c) for c in coeffs]
         if len(cs) > n + 1:
             raise ValueError(
                 f"got {len(cs)} coefficients for truncation order {n}; "

@@ -44,12 +44,16 @@ through ``_rewrite``'s full redex scan made ``z1^3000*z0`` 8x slower
 (0.22 to 1.67 s), and giving ``_rewrite`` the windows of ``_settle``
 made the ``nc-fuzz`` benchmark 11-33 % slower.
 
-Every coefficient, in ``NCPoly`` and in both engines, has one
-representation: an exponent map ``{e: c}`` for ``sum_e c q^e`` with no
-zero coefficient, added and multiplied by ``rings._qadd`` and
-``rings._qmul`` and merged into a term dict by ``_qmerge``.  ``LaurentQ``
-is only the public face: inputs are coerced to maps, and ``terms()`` and
-``coefficient()`` wrap a map on the way out.  No coefficient map is ever
+Every coefficient, in ``NCPoly``, in the rewrite table and in both
+engines, has one representation: an exponent map ``{e: c}`` for
+``sum_e c q^e`` with no zero coefficient, added and multiplied by
+``rings._qadd`` and ``rings._qmul`` and merged into a term dict by
+``_qmerge``.  ``LaurentQ`` is only the public face, built where a
+coefficient crosses the API: ``_qmap`` coerces inputs (from ``NCPoly``'s
+constructors and ``_constant``) to maps, ``terms()``, ``coefficient()``,
+``__str__`` and ``__hash__`` wrap a map on the way out, and
+``defining_relations`` writes the relations by ``LaurentQ`` arithmetic,
+apart from the table it is checked against.  No coefficient map is ever
 mutated, so terms may share them; ``_rewrite`` passes a map on unchanged
 through a unit factor of the rewrite table and scales it by a monomial
 factor in one dict comprehension.
@@ -66,6 +70,7 @@ import os
 import random
 from functools import lru_cache
 from itertools import product
+from operator import index
 from typing import Iterable, NamedTuple
 
 from .rings import LaurentQ, _monomial, _qadd, _qmul, _Ring, _signed_sum
@@ -165,7 +170,7 @@ class NCPoly(_Ring):
         if terms:
             top = 2 * n + 1
             for word, coeff in dict(terms).items():
-                word = tuple(int(c) for c in word)
+                word = tuple(index(c) for c in word)
                 if any(not 0 <= c <= top for c in word):
                     raise ValueError(f"word {word} has codes outside 0..{top}")
                 coeff = _qmap(coeff)
@@ -311,15 +316,6 @@ class NCPoly(_Ring):
         }
         return NCPoly._raw(self.n, kept)
 
-    def at_q_one(self) -> "dict[tuple[int, ...], int]":
-        """Integer coefficients after the commutative specialisation q = 1."""
-        out = {}
-        for word, coeff in self._terms.items():
-            v = sum(coeff.values())
-            if v:
-                out[word] = v
-        return out
-
     # -- rendering ----------------------------------------------------------
 
     def __str__(self) -> str:
@@ -347,14 +343,15 @@ class NCPoly(_Ring):
 @lru_cache(maxsize=None)
 def _rewrite_table(n: int, rules: frozenset) -> dict:
     """Replacement terms ``((factor, subword), ...)`` of every redex pair
-    ``(a, b)`` of codes under ``rules``."""
+    ``(a, b)`` of codes under ``rules``.  Each factor is an exponent map that
+    every caller shares, so no engine may hand one out as a coefficient."""
     unknown = rules - ALL_RULES
     if unknown:
         raise ValueError(f"unknown rules: {sorted(unknown)}")
     shift = n + 1
-    one = LaurentQ.one()
-    reorder = LaurentQ({-2: 1, 0: -1})  # q^-2 - 1
-    swap = {"R1": LaurentQ.q_power(-1), "R2": LaurentQ.q_power(1)}
+    one = {0: 1}
+    reorder = {-2: 1, 0: -1}  # q^-2 - 1
+    swap = {"R1": {-1: 1}, "R2": {1: 1}}
     table = {}
     for a, b in product(range(2 * shift), repeat=2):
         if a >= shift:
@@ -373,7 +370,7 @@ def _rewrite_table(n: int, rules: frozenset) -> dict:
             terms += [(reorder, (shift + m, m)) for m in range(b + 1, shift)]
         elif rule == "R4":
             terms = [(one, ())]
-            terms += [(LaurentQ.q_power(-2 * k, -1), (k, shift + k)) for k in range(1, shift)]
+            terms += [({-2 * k: -1}, (k, shift + k)) for k in range(1, shift)]
         else:
             terms = [(swap[rule], (b, a))]
         table[a, b] = tuple(terms)
@@ -417,8 +414,7 @@ def _rewrite(
             raise _over_budget(step_cap)
         head = word[:pos]
         tail = word[pos + 2 :]
-        for factor, repl in table[word[pos], word[pos + 1]]:
-            f = factor._terms
+        for f, repl in table[word[pos], word[pos + 1]]:
             if len(f) == 1:
                 ((fe, fc),) = f.items()
                 if fe == 0 and fc == 1:
@@ -525,7 +521,7 @@ class _NormalProduct:
                 # R4's empty replacement shifts the pairs right of it by two
                 new_hi = max(pos + 1, hi) if repl else max(pos - 1, hi - 2)
                 new_word = head + repl + tail
-                new_coeff = _qmul(coeff, factor._terms)
+                new_coeff = _qmul(coeff, factor)
                 entry = pending.get(new_word)
                 if entry is None:
                     pending[new_word] = [new_coeff, lo, new_hi]

@@ -220,7 +220,7 @@ class TestNC:
 
     @pytest.mark.parametrize("action", [["reduce", "--n", "1"], ["degree"]])
     def test_nested_power_budget(self, capsys, action):
-        # 39^99999 has 528531 bits: one more power of it is within the budget, two are not
+        # 39^99999 has 528535 bits: one more power of it is within the budget, two are not
         code, out, _ = invoke(capsys, "nc", *action, "--expr", "(39^99999)^1")
         assert code == 0 and json.loads(out)["result"]["degree"] == 0
         code, out, err = invoke(capsys, "nc", *action, "--expr", "(39^99999)^2")

@@ -58,6 +58,14 @@ class TestGrammar:
     def test_negative_power_of_q_monomial(self):
         assert parse_expr("(q^2)^-1", 1) == NCPoly.scalar(1, LaurentQ.q_power(-2))
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_negative_powers_keep_sign_and_parity(self, sign):
+        for a in range(-3, 4):
+            for e in range(1, 5):
+                base = f"-q^{a}" if sign < 0 else f"q^{a}"
+                expected = LaurentQ.q_power(-a, sign) ** e
+                assert parse_expr(f"({base})^-{e}", 1) == NCPoly.scalar(1, expected), (base, e)
+
     def test_whitespace_insensitive(self):
         assert parse_expr("  z0*z1s ", 2) == parse_expr("z0 * z1s", 2)
 

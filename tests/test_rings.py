@@ -5,6 +5,7 @@ import operator
 import pytest
 from hypothesis import given, strategies as st
 
+from qcpn.corep import WeightVector
 from qcpn.kclasses import line_class
 from qcpn.rings import (
     LaurentQ,
@@ -273,3 +274,26 @@ class TestHashAgreesWithEquality:
             assert x == c and hash(x) == hash(c)
         q2 = LaurentQ.q_power(2, c)
         assert NCPoly.scalar(n, q2) == q2 and hash(NCPoly.scalar(n, q2)) == hash(q2)
+
+    def test_non_scalars_hash_alike_in_any_order(self):
+        terms = {(0, 3): {-2: 1, 0: -1}, (2,): {1: 4}, (): {0: 7}}
+        backwards = {w: dict(reversed(c.items())) for w, c in reversed(terms.items())}
+        a, b = NCPoly(1, terms), NCPoly(1, backwards)
+        assert list(a._terms) != list(b._terms)
+        assert a == b and hash(a) == hash(b)
+        x, y = NCPoly.gen(1, 0), LaurentQ({-1: 2, 3: 1}) * NCPoly.gen(1, 1, starred=True)
+        assert hash(x + y) == hash(y + x)
+
+
+def test_constructors_reject_non_integers():
+    # a float is refused, never truncated to an int
+    for make in (
+        lambda: LaurentQ({0: 1.5}),
+        lambda: LaurentQ({0.9: 2}),
+        lambda: LaurentQ({0: 0.0}),
+        lambda: TruncatedPoly(2, [1.7, 2]),
+        lambda: NCPoly(1, {(0.0,): 1}),
+        lambda: WeightVector((1.5,)),
+    ):
+        with pytest.raises(TypeError):
+            make()

@@ -347,6 +347,42 @@ class TestRelations:
         with pytest.raises(ValueError):
             defining_relations(0)
 
+    def test_residues_are_reported(self, monkeypatch):
+        # R3 on z0 z0s with q^-4 - 1 instead of q^-2 - 1 leaves a residue in
+        # the reordering and the sphere relation, and in their s3 images
+        real = sphere._rewrite_table
+        broken = (({0: 1}, (0, 2)), ({-4: 1, 0: -1}, (3, 1)))
+        patched = lambda n, rules: {**real(n, rules), (2, 0): broken}
+        monkeypatch.setattr(sphere, "_rewrite_table", patched)
+        residue = "(q^-4 - q^-2)*z1s*z1"
+        assert verify_defining_relations(1).mismatches == [
+            ("z0 z0s reordering", residue, "0"),
+            ("s3 image of: z0 z0s reordering", residue, "0"),
+            ("sphere relation", residue, "0"),
+            ("s3 image of: sphere relation", residue, "0"),
+        ]
+
+
+class TestOverlaps:
+    def test_every_ambiguity_resolves(self):
+        # an ambiguity is a word abc whose pairs ab and bc are both redexes;
+        # rewriting either pair once must lead to the same normal form
+        counts = []
+        for n in range(1, 9):
+            table = sphere._rewrite_table(n, ALL_RULES)
+            count = 0
+            for (a, b), via_ab in table.items():
+                for c in range(2 * n + 2):
+                    via_bc = table.get((b, c))
+                    if via_bc is None:
+                        continue
+                    count += 1
+                    left = NCPoly(n, {w + (c,): f for f, w in via_ab})
+                    right = NCPoly(n, {(a,) + w: f for f, w in via_bc})
+                    assert normal_form(left) == normal_form(right), (n, a, b, c)
+            counts.append(count)
+        assert counts == [8, 26, 64, 130, 232, 378, 576, 834]
+
 
 class TestFuzz:
     def test_small_campaign_passes(self):
@@ -406,7 +442,7 @@ class TestFuzz:
     def test_mismatch_is_reported(self, monkeypatch):
         # R3 on z0 z0s with q^-4 - 1 instead of q^-2 - 1 breaks confluence
         real = sphere._rewrite_table
-        reorder, broken = LaurentQ({-2: 1, 0: -1}), LaurentQ({-4: 1, 0: -1})
+        reorder, broken = {-2: 1, 0: -1}, {-4: 1, 0: -1}
 
         def broken_table(n, rules):
             table = dict(real(n, rules))
@@ -422,6 +458,15 @@ class TestFuzz:
             "z0s*z0s - q^-2*z1s*z0s*z0s*z1",
             "z0s*z0s + (q^-6 - q^-4 - q^-2)*z1s*z0s*z0s*z1",
         )
+
+    def test_weight_change_is_reported(self, monkeypatch):
+        # R1 on z1 z0 rewritten to the single letter z0s: both strategies
+        # agree, but the weight drops from 2 to -1
+        real = sphere._rewrite_table
+        broken = (({-1: 1}, (0,)),)
+        patched = lambda n, rules: {**real(n, rules), (3, 2): broken}
+        monkeypatch.setattr(sphere, "_rewrite_table", patched)
+        assert exhaustive_pair_check(1).mismatches == [("z1*z0", "weight -1", "weight 2")]
 
 
 class TestStepBudget:

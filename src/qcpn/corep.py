@@ -17,31 +17,19 @@ from collections import Counter
 from operator import index
 
 from .kclasses import line_class
-from .rings import TruncatedPoly
+from .rings import TruncatedPoly, _Value
 
 
-class WeightVector:
+class WeightVector(_Value):
     """A nonempty multiset of circle weights, stored sorted; immutable."""
+
+    __slots__ = ("weights",)
 
     def __init__(self, weights):
         ws = tuple(sorted(index(w) for w in weights))
         if not ws:
             raise ValueError("weight vector must be nonempty")
         object.__setattr__(self, "weights", ws)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WeightVector is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.weights == other.weights
-
-    def __hash__(self):
-        return hash(self.weights)
-
-    def __repr__(self) -> str:
-        return f"WeightVector(weights={self.weights!r})"
 
     def total(self) -> int:
         return sum(self.weights)

@@ -38,6 +38,14 @@ when the coefficient bits of ``a`` and of ``b`` add up to more than
 ``MAX_POWER_BITS``, which bounds the bits of the product by the same
 submultiplicativity.  ``39^99999*39^99999`` is refused at once.
 
+Words are budgeted the same way, since a power or product of letters
+needs no coefficient bits: ``acc^e`` is a syntax error at the exponent's
+offset when ``e`` times the length of ``acc``'s longest word exceeds
+``MAX_WORD_LENGTH``, and ``a*b`` is one at the ``*`` when the longest
+words of ``a`` and ``b`` add up to more.  Those bound the longest word
+of the result, so ``((z0^1000)^1000)^1000`` is refused before it builds
+a word of 10^6 letters, let alone 10^9.
+
 ``qpow`` builds ``q^e`` as one scalar; through ``factor`` it would cost a
 chain of products, and normal forms fed back to the parser are full of
 ``q^e``.
@@ -63,6 +71,7 @@ MAX_NESTING = 100  # parenthesis levels
 MAX_EXPONENT = 10**5  # |e| of a '^' exponent
 MAX_POWER_BITS = 10**6  # coefficient bits of a power (exponent times base) or a product
 MAX_FREE_TERMS = 10**6  # term pairs of one free product
+MAX_WORD_LENGTH = 10**5  # letters of a word of a power or a product
 
 
 class NCSyntaxError(ValueError):
@@ -124,6 +133,11 @@ def _coefficient_bits(p: NCPoly) -> int:
     return sum(abs(c) for coeff in p._terms.values() for c in coeff.values()).bit_length()
 
 
+def _longest_word(p: NCPoly) -> int:
+    """Number of letters of ``p``'s longest word; 0 for a scalar."""
+    return max(map(len, p._terms), default=0)
+
+
 def _free_product(a: NCPoly, b: NCPoly) -> NCPoly:
     if a.term_count() * b.term_count() > MAX_FREE_TERMS:
         raise ValueError(f"free expansion exceeds {MAX_FREE_TERMS} term pairs")
@@ -179,6 +193,10 @@ class _Parser:
                 raise NCSyntaxError(
                     f"product exceeds the budget of {MAX_POWER_BITS} coefficient bits", star.pos
                 )
+            if _longest_word(acc) + _longest_word(rhs) > MAX_WORD_LENGTH:
+                raise NCSyntaxError(
+                    f"product exceeds the budget of {MAX_WORD_LENGTH} letters per word", star.pos
+                )
             acc = self.mul(acc, rhs)
         return acc
 
@@ -194,6 +212,10 @@ class _Parser:
                 if e * _coefficient_bits(acc) > MAX_POWER_BITS:
                     raise NCSyntaxError(
                         f"power exceeds the budget of {MAX_POWER_BITS} coefficient bits", at
+                    )
+                if e * _longest_word(acc) > MAX_WORD_LENGTH:
+                    raise NCSyntaxError(
+                        f"power exceeds the budget of {MAX_WORD_LENGTH} letters per word", at
                     )
                 acc = binary_power(acc, e, NCPoly.one(self.n), self.mul)
             else:

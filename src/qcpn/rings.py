@@ -10,9 +10,13 @@ Two scalar domains, both with arbitrary-precision integer coefficients:
   carry their truncation order ``n`` and never mix different orders.
 
 Both, and ``sphere.NCPoly``, derive their operators from ``_Ring``, the one
-place that decides how an ``int`` meets an element, how ``-``, ``==``,
-truth and ``**`` follow from ``+``, unary ``-`` and ``*``, and how an
-element is written as a signed sum of monomials.
+place that decides how an ``int`` meets an element and how ``-``, truth
+and ``**`` follow from ``+``, unary ``-`` and ``*``; one pair of helpers
+writes an element as a signed sum of monomials.  ``_Value``, the base of
+``_Ring`` and of the records ``corep.WeightVector`` and
+``pairing.PairingVector``, owns what makes them values: their fields are
+their ``__slots__``, filled once, compared by ``==`` and rebuilt by
+``pickle`` and ``copy``.
 
 A Laurent polynomial is stored as an exponent map ``{e: c}`` with no zero
 coefficient.  ``_qadd`` and ``_qmul`` are the sum and product of such
@@ -108,15 +112,65 @@ def _qmul(a: dict, b: dict) -> dict:
     return prod
 
 
-class _Ring:
+class _Value:
+    """An immutable value whose fields are its class's ``__slots__``.
+
+    ``_raw`` fills the fields unchecked and uncopied, and any assignment
+    raises.  ``==`` compares the fields, after coercing a foreign operand
+    through ``_constant``; that finds none by default, so a value equals
+    only values of its own class.  ``__reduce__`` rebuilds a value through
+    ``_raw``, which makes ``pickle``, ``copy`` and ``deepcopy`` work.  The
+    structural ``__hash__`` and ``__repr__`` serve records; the rings
+    replace both.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _raw(cls, *fields):
+        """An instance holding ``fields`` in slot order, unchecked and uncopied."""
+        out = object.__new__(cls)
+        for name, value in zip(cls.__slots__, fields):
+            object.__setattr__(out, name, value)
+        return out
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return self._raw, self._fields()
+
+    def _constant(self, c):
+        """The value ``c`` stands for in this value's class, or None."""
+        return None
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            other = self._constant(other)
+            if other is None:
+                return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class _Ring(_Value):
     """Operators that every exact ring element here derives the same way.
 
     A subclass supplies ``_constant(c)`` (the constant element ``c`` of
     this element's ring, or None when ``c`` is not a constant it knows),
-    ``_key()`` (structural identity), ``is_zero``, ``__add__``, ``__neg__``,
-    ``__mul__`` and ``__hash__``.  Elements that carry an order ``n`` set
-    ``_mismatch`` to the error type and wording raised when two orders
-    meet in arithmetic; ``==`` across orders is plain ``False``.
+    ``is_zero``, ``__add__``, ``__neg__``, ``__mul__``, ``__hash__`` and
+    ``__repr__``; ``_Value`` compares its fields.  Elements that carry an
+    order ``n`` set ``_mismatch`` to the error type and wording raised when
+    two orders meet in arithmetic; ``==`` across orders is plain ``False``.
     ``_negative_power`` is the error type and message of ``x ** -k``.
     """
 
@@ -131,13 +185,6 @@ class _Ring:
                 raise error(f"mixed {what} {self.n} and {other.n}")
             return other
         return self._constant(other)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, type(self)):
-            other = self._constant(other)
-            if other is None:
-                return NotImplemented
-        return self._key() == other._key()
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -180,14 +227,7 @@ class LaurentQ(_Ring):
                 e, c = index(e), index(c)
                 if c:
                     clean[e] = c
-        self._terms = clean
-
-    @classmethod
-    def _raw(cls, terms: dict) -> "LaurentQ":
-        """Wrap an exponent map with no zero coefficient, unchecked and uncopied."""
-        out = object.__new__(cls)
-        out._terms = terms
-        return out
+        object.__setattr__(self, "_terms", clean)
 
     @classmethod
     def zero(cls) -> "LaurentQ":
@@ -208,9 +248,6 @@ class LaurentQ(_Ring):
 
     def _constant(self, c) -> "LaurentQ | None":
         return LaurentQ({0: c}) if isinstance(c, int) else None
-
-    def _key(self):
-        return self._terms
 
     def terms(self) -> dict[int, int]:
         return dict(self._terms)
@@ -288,17 +325,6 @@ class TruncatedPoly(_Ring):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "coeffs", tuple(cs))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedPoly is immutable")
-
-    @classmethod
-    def _raw(cls, n: int, coeffs: tuple) -> "TruncatedPoly":
-        """Wrap ``n + 1`` ints that the ring operations computed, unchecked."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "n", n)
-        object.__setattr__(out, "coeffs", coeffs)
-        return out
-
     @classmethod
     def zero(cls, n: int) -> "TruncatedPoly":
         return cls(n)
@@ -316,9 +342,6 @@ class TruncatedPoly(_Ring):
 
     def _constant(self, c) -> "TruncatedPoly | None":
         return TruncatedPoly(self.n, (c,)) if isinstance(c, int) else None
-
-    def _key(self):
-        return self.n, self.coeffs
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)

@@ -54,9 +54,9 @@ constructors and ``_constant``) to maps, ``terms()``, ``coefficient()``,
 ``__str__`` and ``__hash__`` wrap a map on the way out, and
 ``defining_relations`` writes the relations by ``LaurentQ`` arithmetic,
 apart from the table it is checked against.  No coefficient map is ever
-mutated, so terms may share them; ``_rewrite`` passes a map on unchanged
-through a unit factor of the rewrite table and scales it by a monomial
-factor in one dict comprehension.
+mutated, so terms may share them; both engines multiply a coefficient by
+a factor of the rewrite table with ``_qmul``, and ``_rewrite`` passes it
+on unchanged through the table's unit factor ``_UNIT``.
 
 Internally a word is a tuple of integer codes (for ambient ``n``: starred
 index i is code i, unstarred index i is code n+1+i), so the canonical
@@ -79,6 +79,7 @@ DEFAULT_STEP_CAP = 10**6
 STEP_CAP_ENV = "QCPN_STEP_CAP"
 
 ALL_RULES = frozenset({"R1", "R2", "R3", "R4"})
+_UNIT = {0: 1}  # the rewrite table's unit factor, passed on without a product
 
 
 class StepBudgetExceeded(RuntimeError):
@@ -179,16 +180,6 @@ class NCPoly(_Ring):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_terms", clean)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("NCPoly is immutable")
-
-    @classmethod
-    def _raw(cls, n: int, terms: dict) -> "NCPoly":
-        out = object.__new__(cls)
-        object.__setattr__(out, "n", n)
-        object.__setattr__(out, "_terms", terms)
-        return out
-
     @classmethod
     def zero(cls, n: int) -> "NCPoly":
         return cls._raw(n, {})
@@ -220,9 +211,6 @@ class NCPoly(_Ring):
 
     def _constant(self, c) -> "NCPoly | None":
         return NCPoly.scalar(self.n, c) if isinstance(c, (int, LaurentQ)) else None
-
-    def _key(self):
-        return self.n, self._terms
 
     # -- inspection ------------------------------------------------------
 
@@ -349,7 +337,6 @@ def _rewrite_table(n: int, rules: frozenset) -> dict:
     if unknown:
         raise ValueError(f"unknown rules: {sorted(unknown)}")
     shift = n + 1
-    one = {0: 1}
     reorder = {-2: 1, 0: -1}  # q^-2 - 1
     swap = {"R1": {-1: 1}, "R2": {1: 1}}
     table = {}
@@ -366,10 +353,10 @@ def _rewrite_table(n: int, rules: frozenset) -> dict:
         if rule not in rules:
             continue
         if rule == "R3":
-            terms = [(one, (b, a))]
+            terms = [(_UNIT, (b, a))]
             terms += [(reorder, (shift + m, m)) for m in range(b + 1, shift)]
         elif rule == "R4":
-            terms = [(one, ())]
+            terms = [(_UNIT, ())]
             terms += [({-2 * k: -1}, (k, shift + k)) for k in range(1, shift)]
         else:
             terms = [(swap[rule], (b, a))]
@@ -415,18 +402,7 @@ def _rewrite(
         head = word[:pos]
         tail = word[pos + 2 :]
         for f, repl in table[word[pos], word[pos + 1]]:
-            if len(f) == 1:
-                ((fe, fc),) = f.items()
-                if fe == 0 and fc == 1:
-                    new = coeff
-                else:
-                    new = {e + fe: c * fc for e, c in coeff.items()}
-            else:  # q^-2 - 1
-                ((fe, fc), (ge, gc)) = f.items()
-                new = _qadd(
-                    {e + fe: c * fc for e, c in coeff.items()},
-                    {e + ge: c * gc for e, c in coeff.items()},
-                )
+            new = coeff if f is _UNIT else _qmul(coeff, f)
             _qmerge(pending, head + repl + tail, new)
     return done, steps
 

@@ -246,6 +246,25 @@ class TestNC:
         message = "product exceeds the budget of 1000000 coefficient bits at offset 8"
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("action", [["reduce", "--n", "1"], ["degree"]])
+    @pytest.mark.parametrize(
+        "expr, message",
+        [
+            ("((z0^1000)^1000)^1000", "power exceeds the budget of 100000 letters per word at offset 11"),
+            ("(z0^100000)^100000", "power exceeds the budget of 100000 letters per word at offset 12"),
+            ("z0^50000*z0^50001", "product exceeds the budget of 100000 letters per word at offset 8"),
+        ],
+    )
+    def test_word_length_refused_before_it_is_built(self, action, expr, message):
+        # z0 needs no rewrite, so neither the step budget nor a coefficient budget applies
+        out = subprocess.run(
+            [sys.executable, "-m", "qcpn", "nc", *action, "--expr", expr],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert (out.returncode, out.stdout, out.stderr) == (1, "", f"error: {message}\n")
+
     def test_degree_free_expansion_capped(self, capsys):
         code, out, err = invoke(capsys, "nc", "degree", "--expr", "(z0+z0s)^24")
         assert (code, out, err) == (1, "", "error: free expansion exceeds 1000000 term pairs\n")

@@ -19,8 +19,10 @@ import pytest
 
 from qcpn.basis import BasisCertificate
 from qcpn.corep import WeightVector
+from qcpn.kclasses import line_class
 from qcpn.pairing import PairingVector
-from qcpn.sphere import ReductionReport
+from qcpn.rings import LaurentQ, TruncatedPoly
+from qcpn.sphere import NCPoly, ReductionReport
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -119,6 +121,14 @@ else:
             BasisCertificate(0, ((-1,),), -1, ((-1,),)),
             "BasisCertificate(n=0, matrix=((1,),), det=1, inverse=((1,),))",
         ),
+        (lambda: LaurentQ({1: 2}), "_terms", LaurentQ({1: 3}), "LaurentQ({1: 2})"),
+        (
+            lambda: TruncatedPoly(1, (1, 2)),
+            "coeffs",
+            TruncatedPoly(1, (1, 3)),
+            "TruncatedPoly(1, (1, 2))",
+        ),
+        (lambda: NCPoly.gen(1, 0), "_terms", NCPoly.gen(1, 1), "NCPoly(n=1, 'z0')"),
     ],
 )
 def test_frozen_records(make, field, other, text):
@@ -128,6 +138,17 @@ def test_frozen_records(make, field, other, text):
     with pytest.raises(AttributeError):
         setattr(a, field, getattr(other, field))
     assert a == b == pickle.loads(pickle.dumps(a)) == copy.deepcopy(a)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [LaurentQ({1: 2}), line_class(3, 2), NCPoly.gen(1, 0), WeightVector((2, -1)), PairingVector(1, (1, 2))],
+)
+def test_values_copy_and_refuse_every_assignment(value):
+    assert copy.copy(value) == value
+    for field in value.__slots__:
+        with pytest.raises(AttributeError, match=f"^{type(value).__name__} is immutable$"):
+            setattr(value, field, None)
 
 
 def test_reduction_report_is_a_mutable_record():

@@ -7,6 +7,7 @@ from qcpn.ncparse import (
     MAX_FREE_TERMS,
     MAX_NESTING,
     MAX_POWER_BITS,
+    MAX_WORD_LENGTH,
     NCSyntaxError,
     _Token,
     _tokenize,
@@ -194,6 +195,21 @@ class TestErrors:
         assert str(exc.value) == (
             f"product exceeds the budget of {MAX_POWER_BITS} coefficient bits at offset 12"
         )
+
+    def test_word_length_budget(self):
+        assert MAX_WORD_LENGTH == 100000
+        assert parse_expr("z0^100000", 1) == parse_expr("(z0^50000)^2", 1) == gen(1, 0) ** 100000
+        assert parse_expr("z0^50000*z0^50000", 1) == gen(1, 0) ** 100000
+        with pytest.raises(NCSyntaxError) as exc:
+            parse_expr("(z0^100000)^100000", 1)
+        assert str(exc.value) == "power exceeds the budget of 100000 letters per word at offset 12"
+        with pytest.raises(NCSyntaxError) as exc:
+            parse_expr("z0^50000*z0^50001", 1)
+        assert str(exc.value) == "product exceeds the budget of 100000 letters per word at offset 8"
+        # the budget is on the longest word, not on the total of all words
+        assert parse_expr("(z0 + z1)^16", 1).term_count() == 2**16
+        with pytest.raises(NCSyntaxError, match="offset 14$"):
+            parse_expr("(1 + z0^6250)^17", 1)
 
     def test_sibling_parentheses_do_not_add_up(self):
         flat = "*".join(["(z0)"] * (2 * MAX_NESTING))

@@ -20,31 +20,24 @@ interpreter's recursion limit.  A ``^`` exponent above ``MAX_EXPONENT``
 in absolute value is a syntax error at the exponent's offset: a scalar
 raised to a huge power would compute an integer of millions of digits
 before any budget applies.  ``q^e`` takes any exponent, because it is one
-monomial whatever ``e`` is.
+monomial.  A negative power applies only to ``+-q^k``, whose powers stay
+monomials.
 
-Nested powers pass that cap at every ``^``, so each power is budgeted
-by the size of its base as well: ``acc^e`` with ``e >= 0`` is a syntax
-error at the exponent's offset when ``e`` times the bit length of the
-sum of the absolute values of ``acc``'s integer coefficients exceeds
-``MAX_POWER_BITS``.  That product bounds the bit length of every
-coefficient of the free power, since the sum of absolute values is
-submultiplicative.  ``39^99999`` (6 bits times 99999) passes, and
+Nested powers and chains of ``*`` pass those caps at every step, so each
+power and each product is budgeted by the sizes ``_size`` of its
+operands: the bit length of the sum of the absolute values of the
+integer coefficients, and the number of letters of the longest word
+(letters need no coefficient bits).  ``acc^e`` with ``e >= 0`` is bounded
+by ``e`` times each size of ``acc``, and ``a*b`` by the sum of each size
+of ``a`` and ``b``.  These bound the coefficient bits and the longest
+word of the free result, since the sum of absolute values is
+submultiplicative and word lengths add.  A bound over ``MAX_POWER_BITS``
+or ``MAX_WORD_LENGTH`` is a syntax error at the exponent's offset or at
+the ``*``.  So ``39^99999`` (6 bits times 99999) passes, while
 ``(39^99999)^99999`` is refused as soon as its base is known, instead of
-squaring a 159k-digit integer on its way to some 5 * 10^10 bits.  A
-negative power applies only to ``+-q^k``, whose powers stay monomials.
-A chain of ``*`` passes both caps at every factor, so each product is
-budgeted the same way: ``a*b`` is a syntax error at the ``*``'s offset
-when the coefficient bits of ``a`` and of ``b`` add up to more than
-``MAX_POWER_BITS``, which bounds the bits of the product by the same
-submultiplicativity.  ``39^99999*39^99999`` is refused at once.
-
-Words are budgeted the same way, since a power or product of letters
-needs no coefficient bits: ``acc^e`` is a syntax error at the exponent's
-offset when ``e`` times the length of ``acc``'s longest word exceeds
-``MAX_WORD_LENGTH``, and ``a*b`` is one at the ``*`` when the longest
-words of ``a`` and ``b`` add up to more.  Those bound the longest word
-of the result, so ``((z0^1000)^1000)^1000`` is refused before it builds
-a word of 10^6 letters, let alone 10^9.
+squaring a 159k-digit integer on its way to some 5 * 10^10 bits;
+``39^99999*39^99999`` is refused at once, and ``((z0^1000)^1000)^1000``
+before it builds a word of 10^6 letters, let alone 10^9.
 
 ``qpow`` builds ``q^e`` as one scalar; through ``factor`` it would cost a
 chain of products, and normal forms fed back to the parser are full of
@@ -62,6 +55,7 @@ product is reduced as soon as it is formed.
 from __future__ import annotations
 
 import re
+from operator import add
 from typing import NamedTuple
 
 from .rings import binary_power
@@ -128,14 +122,20 @@ def _infer_n(text: str) -> int:
     return max((tok.value[0] for tok in _tokenize(text) if tok.kind == "GEN"), default=0)
 
 
-def _coefficient_bits(p: NCPoly) -> int:
-    """Bit length of the sum of the absolute values of ``p``'s integer coefficients."""
-    return sum(abs(c) for coeff in p._terms.values() for c in coeff.values()).bit_length()
+def _size(p: NCPoly) -> tuple[int, int]:
+    """The coefficient bits and the longest word of ``p``: the bit length of
+    the sum of the absolute values of its integer coefficients, and the
+    number of letters of its longest word (0 for a scalar)."""
+    bits = sum(abs(c) for coeff in p._terms.values() for c in coeff.values()).bit_length()
+    return bits, max(map(len, p._terms), default=0)
 
 
-def _longest_word(p: NCPoly) -> int:
-    """Number of letters of ``p``'s longest word; 0 for a scalar."""
-    return max(map(len, p._terms), default=0)
+def _check_size(what: str, sizes, pos: int) -> None:
+    """Refuse a power or product whose bounds ``(bits, letters)`` exceed a budget."""
+    budgets = ((MAX_POWER_BITS, "coefficient bits"), (MAX_WORD_LENGTH, "letters per word"))
+    for size, (cap, unit) in zip(sizes, budgets):
+        if size > cap:
+            raise NCSyntaxError(f"{what} exceeds the budget of {cap} {unit}", pos)
 
 
 def _free_product(a: NCPoly, b: NCPoly) -> NCPoly:
@@ -189,14 +189,7 @@ class _Parser:
         while self.is_op("*"):
             star = self.advance()
             rhs = self.factor()
-            if _coefficient_bits(acc) + _coefficient_bits(rhs) > MAX_POWER_BITS:
-                raise NCSyntaxError(
-                    f"product exceeds the budget of {MAX_POWER_BITS} coefficient bits", star.pos
-                )
-            if _longest_word(acc) + _longest_word(rhs) > MAX_WORD_LENGTH:
-                raise NCSyntaxError(
-                    f"product exceeds the budget of {MAX_WORD_LENGTH} letters per word", star.pos
-                )
+            _check_size("product", map(add, _size(acc), _size(rhs)), star.pos)
             acc = self.mul(acc, rhs)
         return acc
 
@@ -209,14 +202,7 @@ class _Parser:
             if abs(e) > MAX_EXPONENT:
                 raise NCSyntaxError(f"exponent exceeds {MAX_EXPONENT} in absolute value", at)
             if e >= 0:
-                if e * _coefficient_bits(acc) > MAX_POWER_BITS:
-                    raise NCSyntaxError(
-                        f"power exceeds the budget of {MAX_POWER_BITS} coefficient bits", at
-                    )
-                if e * _longest_word(acc) > MAX_WORD_LENGTH:
-                    raise NCSyntaxError(
-                        f"power exceeds the budget of {MAX_WORD_LENGTH} letters per word", at
-                    )
+                _check_size("power", [e * size for size in _size(acc)], at)
                 acc = binary_power(acc, e, NCPoly.one(self.n), self.mul)
             else:
                 acc = self._invert_scalar(acc, e, caret.pos)

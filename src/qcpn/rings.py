@@ -116,12 +116,12 @@ class _Value:
     """An immutable value whose fields are its class's ``__slots__``.
 
     ``_raw`` fills the fields unchecked and uncopied, and any assignment
-    raises.  ``==`` compares the fields, after coercing a foreign operand
-    through ``_constant``; that finds none by default, so a value equals
-    only values of its own class.  ``__reduce__`` rebuilds a value through
-    ``_raw``, which makes ``pickle``, ``copy`` and ``deepcopy`` work.  The
-    structural ``__hash__`` and ``__repr__`` serve records; the rings
-    replace both.
+    or deletion raises.  ``==`` compares the fields, after coercing a
+    foreign operand through ``_constant``; that finds none by default, so
+    a value equals only values of its own class.  ``__reduce__`` rebuilds
+    a value through ``_raw``, which makes ``pickle``, ``copy`` and
+    ``deepcopy`` work.  The structural ``__hash__`` and ``__repr__`` serve
+    records; the rings replace both.
     """
 
     __slots__ = ()
@@ -137,8 +137,10 @@ class _Value:
     def _fields(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
 
     def __reduce__(self):
         return self._raw, self._fields()

@@ -331,37 +331,27 @@ class NCPoly(_Ring):
 @lru_cache(maxsize=None)
 def _rewrite_table(n: int, rules: frozenset) -> dict:
     """Replacement terms ``((factor, subword), ...)`` of every redex pair
-    ``(a, b)`` of codes under ``rules``.  Each factor is an exponent map that
-    every caller shares, so no engine may hand one out as a coefficient."""
+    ``(a, b)`` of codes under ``rules``.  Each family is written from its
+    left side, as R1-R4 of the module docstring state it.  Each factor is
+    an exponent map that every caller shares, so no engine may hand one
+    out as a coefficient."""
     unknown = rules - ALL_RULES
     if unknown:
         raise ValueError(f"unknown rules: {sorted(unknown)}")
-    shift = n + 1
-    reorder = {-2: 1, 0: -1}  # q^-2 - 1
-    swap = {"R1": {-1: 1}, "R2": {1: 1}}
-    table = {}
-    for a, b in product(range(2 * shift), repeat=2):
-        if a >= shift:
-            if b >= shift:
-                rule = "R1" if a > b else None
-            else:
-                rule = "R3" if a - shift == b else "R2"
-        elif b < shift:
-            rule = "R1" if a < b else None
-        else:
-            rule = "R4" if a == 0 and b == shift else None
-        if rule not in rules:
-            continue
-        if rule == "R3":
-            terms = [(_UNIT, (b, a))]
-            terms += [(reorder, (shift + m, m)) for m in range(b + 1, shift)]
-        elif rule == "R4":
-            terms = [(_UNIT, ())]
-            terms += [({-2 * k: -1}, (k, shift + k)) for k in range(1, shift)]
-        else:
-            terms = [(swap[rule], (b, a))]
-        table[a, b] = tuple(terms)
-    return table
+    s = n + 1  # z*_i is code i, z_i is code s + i
+    q_inv, q, reorder = {-1: 1}, {1: 1}, {-2: 1, 0: -1}  # q^-1, q, q^-2 - 1
+    pairs = [(i, j) for i in range(s) for j in range(s)]
+    families = {
+        "R1": [((s + j, s + i), ((q_inv, (s + i, s + j)),)) for i, j in pairs if j > i]
+        + [((i, j), ((q_inv, (j, i)),)) for i, j in pairs if i < j],
+        "R2": [((s + i, j), ((q, (j, s + i)),)) for i, j in pairs if i != j],
+        "R3": [
+            ((s + i, i), ((_UNIT, (i, s + i)), *((reorder, (s + m, m)) for m in range(i + 1, s))))
+            for i in range(s)
+        ],
+        "R4": [((0, s), ((_UNIT, ()), *(({-2 * k: -1}, (k, s + k)) for k in range(1, s))))],
+    }
+    return {pair: terms for rule in sorted(rules) for pair, terms in families[rule]}
 
 
 def _over_budget(step_cap: int) -> StepBudgetExceeded:
@@ -532,19 +522,11 @@ def project_to_s3(p: NCPoly) -> NCPoly:
     """
     if p.n < 1:
         raise ValueError("ambient index must be at least 1")
-    src_shift = p.n + 1
     out: dict[tuple[int, ...], dict] = {}
     for word, coeff in p._terms.items():
-        image = []
-        for c in word:
-            starred = c < src_shift
-            idx = c if starred else c - src_shift
-            if idx >= 2:
-                image = None
-                break
-            image.append(idx if starred else 2 + idx)
-        if image is not None:
-            _qmerge(out, tuple(image), coeff)
+        gens = [_decode(c, p.n) for c in word]
+        if all(g.index < 2 for g in gens):
+            _qmerge(out, tuple(_encode(g, 1) for g in gens), coeff)
     return normal_form(NCPoly._raw(1, out))
 
 

@@ -151,6 +151,18 @@ def test_values_copy_and_refuse_every_assignment(value):
             setattr(value, field, None)
 
 
+@pytest.mark.parametrize(
+    "value",
+    [LaurentQ({1: 2}), line_class(3, 2), NCPoly.gen(1, 0), WeightVector((2, -1)), PairingVector(1, (1, 2))],
+)
+def test_values_refuse_every_deletion(value):
+    text = repr(value)
+    for field in value.__slots__:
+        with pytest.raises(AttributeError, match=f"^{type(value).__name__} is immutable$"):
+            delattr(value, field)
+    assert repr(value) == text and copy.copy(value) == value
+
+
 def test_reduction_report_is_a_mutable_record():
     report = ReductionReport()
     assert report == ReductionReport(0, 0, []) and report != ReductionReport(words=1)

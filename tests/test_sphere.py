@@ -363,6 +363,25 @@ class TestRelations:
         ]
 
 
+class TestRewriteTable:
+    @pytest.mark.parametrize("n", range(7))
+    def test_left_sides_are_the_non_normal_pairs(self, n):
+        # R1 and R2 have n(n+1) left sides each, R3 n+1 and R4 one
+        sizes = [len(sphere._rewrite_table(n, frozenset({r}))) for r in ("R1", "R2", "R3", "R4")]
+        assert sizes == [n * (n + 1), n * (n + 1), n + 1, 1]
+
+        def normal(a, b):
+            # stars first, descending; then unstarred, ascending; never z0s z0
+            if a.starred != b.starred:
+                return a.starred and (a.index, b.index) != (0, 0)
+            return a.index >= b.index if a.starred else a.index <= b.index
+
+        letters = [Generator(i, s) for i in range(n + 1) for s in (True, False)]
+        expected = {(a, b) for a in letters for b in letters if not normal(a, b)}
+        table = sphere._rewrite_table(n, ALL_RULES)
+        assert {tuple(sphere._decode(c, n) for c in pair) for pair in table} == expected
+
+
 class TestOverlaps:
     def test_every_ambiguity_resolves(self):
         # an ambiguity is a word abc whose pairs ab and bc are both redexes;

@@ -18,7 +18,7 @@ import argparse
 import sys
 import time
 
-from qcpn.basis import certify_basis, is_leading_block
+from qcpn.basis import MAX_BASIS_N, certify_basis, is_leading_block
 
 
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
@@ -29,6 +29,8 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     args = parser.parse_args(argv)
     if args.min_n < 1 or args.max_n < args.min_n:
         parser.error("need 1 <= min-n <= max-n")
+    if args.max_n > MAX_BASIS_N:
+        parser.error(f"--max-n must be at most {MAX_BASIS_N}, got {args.max_n}")
     return args
 
 

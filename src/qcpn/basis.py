@@ -3,45 +3,48 @@
 The candidate basis over the dimension-``n`` space consists of the unit
 class, the dual-tautological class minus the unit, and for each rank
 ``2 <= m <= n`` the associated fundamental bundle class minus ``m`` trivial
-summands.  Row ``j`` of the basis matrix collects the t-coefficients of the
-``j``-th candidate.  Certification writes down an integer inverse in closed
-form, multiplies it back to the identity exactly, and takes the determinant
-of the inverse; the exact product is the proof that the candidates are a
-Z-basis, and it forces both determinants to be the same unit.
+summands; row ``j`` of the basis matrix ``M`` holds the t-coefficients of
+the ``j``-th.  Certification writes down an integer inverse ``N`` in closed
+form, multiplies back to the identity exactly, and takes ``det N``; the
+exact product proves the candidates a Z-basis and ``det M = det N = +-1``.
 
 Writing ``u = 1 - t``, the candidates are ``b_0 = 1``, ``b_1 = u - 1`` and
-``b_m = (m-1)(u^-1 - 1) + u^(m-1) - 1``, so row ``j`` of the inverse holds
-the coordinates of ``t^j``: ``t^0 = b_0`` and ``t = -b_1``.  For
-``2 <= j < n`` the alternating binomial sum
-``sum_i (-1)^i C(j, i) b_(i+1)`` cancels the ``(m-1)`` multiples and the
-constants and leaves ``(1 - u)^j = t^j``; for ``j = n`` the top class
-``b_(n+1)`` is missing, and ``sum_k (-1)^k C(n, k) b_k`` gives
-``t^n u^-1 = t^n`` instead.
+``b_m = (m-1)(u^-1 - 1) + u^(m-1) - 1``, so row ``j`` of ``N`` holds the
+coordinates of ``t^j``: ``t^0 = b_0`` and ``t = -b_1``.  For ``2 <= j < n``
+the sum ``sum_i (-1)^i C(j, i) b_(i+1)`` cancels the ``(m-1)`` multiples
+and the constants and leaves ``(1 - u)^j = t^j``; for ``j = n``, where
+``b_(n+1)`` is missing, ``sum_k (-1)^k C(n, k) b_k`` gives ``t^n u^-1 = t^n``.
+Tests check this against ``unimodular_inverse``, a fraction-free Gauss-Jordan.
 
-``unimodular_inverse`` is a fraction-free Gauss-Jordan elimination over the
-integers; certificates do not use it, but the test suite checks the closed
-form against it.
+The back-multiplication packs row ``k`` of ``N`` into one integer
+``R_k = sum_j N[k][j] 2^(j w)``.  Row ``i`` of ``P = M N`` then packs to
+``sum_k M[i][k] R_k = sum_j P[i][j] 2^(j w)``, which must be ``2^(i w)``.
+The slot width ``w`` is chosen with ``2^(w-1) > max(1, size max|M| max|N|)``,
+so every entry of ``P`` and of the identity lies in ``(-2^(w-1), 2^(w-1))``.
+An integer has at most one expansion ``sum_j d_j 2^(j w)`` with digits in
+that range: two of them differ digitwise by less than ``2^w`` in absolute
+value, and at the lowest differing digit ``j`` the difference is
+``d 2^(j w)`` modulo ``2^((j+1) w)`` with ``0 < |d| < 2^w``, which is not
+zero.  So the packed rows equal ``2^(i w)`` exactly when ``P`` is the
+identity; the check is a proof, not a sample.
 
-The back-multiplication packs each row ``k`` of the inverse ``N`` into one
-integer ``R_k = sum_j N[k][j] 2^(j w)`` and checks, for every row ``i`` of
-the matrix ``M``, that ``sum_k M[i][k] R_k = 2^(i w)``.  The left side is
-``sum_j P[i][j] 2^(j w)`` with ``P = M N``.  The slot width ``w`` is chosen
-with ``2^(w-1) > max(1, size max|M| max|N|)``, so every entry of ``P`` and
-of the identity lies in ``(-2^(w-1), 2^(w-1))``.  An integer has at most
-one expansion ``sum_j d_j 2^(j w)`` with digits in that range: two of them
-differ digitwise by less than ``2^w`` in absolute value, and at the lowest
-differing digit ``j`` the difference is ``d 2^(j w)`` modulo ``2^((j+1) w)``
-with ``0 < |d| < 2^w``, which is not zero.  So the packed rows equal
-``2^(i w)`` exactly when ``P`` is the identity; the check is a proof, not a
-sample.
+``BasisCertificate.verify`` forms these sums through the rows of ``M``.  It
+first compares the stored ``M`` entry by entry with its closed form
+(``basis_class_closed_form``): ``e_0``, ``-e_1`` and ``(m-1) r + s_(m-1)``,
+where ``r = (0, 1, ..., 1)`` holds the coefficients of ``u^-1 - 1`` and
+``s_j`` those of ``u^j - 1``.  So a certificate whose matrix is not the
+basis matrix fails, even when ``M N = I``.  The packed rows of ``P`` are
+then ``R_0``, ``-R_1`` and ``(m-1) sum_(k>=1) R_k + F_(m-1) - R_0``, where
+``F_j = sum_k (-1)^k C(j, k) R_k`` heads column ``j`` of the difference
+table of ``R_0, R_1, ...``: about ``n^2 / 2`` subtractions and no
+multiplications give every ``F_j``.  These are the integers above.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain
-from math import comb
-from operator import mul
+from operator import index, mul, sub
 from typing import NamedTuple
 
 from .corep import associated_class, fundamental_weights
@@ -49,6 +52,8 @@ from .kclasses import line_class
 from .rings import TruncatedPoly
 
 Matrix = list[list[int]]
+
+MAX_BASIS_N = 400  # n = 400 builds in about 0.5 s and verifies in about 1.5 s
 
 
 class UnimodularityError(ArithmeticError):
@@ -73,19 +78,22 @@ def basis_class(n: int, m: int) -> TruncatedPoly:
 
 
 def basis_class_closed_form(n: int, m: int) -> TruncatedPoly:
-    """Closed form of ``basis_class`` for ``m >= 2``.
+    """Closed form ``(m-1) r + s_(m-1)`` of ``basis_class`` for ``m >= 2``.
 
-    Coefficient of ``t^k`` is ``(m-1) + (-1)^k * C(m-1, k)`` for ``k >= 2``
-    and zero below; must agree with the bundle route, which the test suite
-    checks as a cross-implementation oracle.
+    Coefficient of ``t^k`` is ``(m-1) + (-1)^k C(m-1, k)`` for ``k >= 2``
+    and zero below, stepping along the Pascal row.  ``verify`` holds the
+    stored matrix to these rows; tests check them against the bundle route.
     """
+    n, m = index(n), index(m)  # then every coefficient is an int
     if not 2 <= m <= n:
         raise ValueError(f"closed form needs 2 <= m <= {n}, got {m}")
     coeffs = [0, 0]
-    for k in range(2, n + 1):
-        signed = comb(m - 1, k) if k % 2 == 0 else -comb(m - 1, k)
-        coeffs.append((m - 1) + signed)
-    return TruncatedPoly(n, coeffs)
+    signed = 1 - m  # (-1)^k C(m-1, k), here at k = 1
+    for k in range(2, m):
+        signed = signed * (k - m) // k
+        coeffs.append(m - 1 + signed)
+    coeffs += [m - 1] * (n + 1 - m)
+    return TruncatedPoly._raw(n, tuple(coeffs))
 
 
 def basis_matrix(n: int) -> Matrix:
@@ -115,14 +123,9 @@ def unimodular_inverse(matrix) -> tuple[int, Matrix]:
     size = len(rows)
     width = 2 * size
     a = [row + [1 if i == j else 0 for j in range(size)] for i, row in enumerate(rows)]
-    sign = 1
-    denom = 1
+    sign = denom = 1
     for k in range(size):
-        pivot_row = None
-        for r in range(k, size):
-            if a[r][k] != 0:
-                pivot_row = r
-                break
+        pivot_row = next((r for r in range(k, size) if a[r][k] != 0), None)
         if pivot_row is None:
             raise UnimodularityError("unimodularity violated: matrix is singular")
         if pivot_row != k:
@@ -131,21 +134,15 @@ def unimodular_inverse(matrix) -> tuple[int, Matrix]:
         piv = a[k][k]
         top = a[k]
         for i in range(size):
-            if i == k:
-                continue
-            f = a[i][k]
-            row = a[i]
-            if f == 0 and piv == denom:
-                continue
-            a[i] = [(piv * row[j] - f * top[j]) // denom for j in range(width)]
+            f, row = a[i][k], a[i]
+            if i != k and (f != 0 or piv != denom):
+                a[i] = [(piv * row[j] - f * top[j]) // denom for j in range(width)]
         denom = piv
     det = sign * denom
     if det not in (1, -1):
         raise UnimodularityError(f"unimodularity violated: determinant is {det}")
-    # inverse = adjugate / det(PA); dividing by +-1 is multiplying by it
-    scale = denom  # det of the row-permuted matrix
-    inverse = [[scale * a[i][size + j] for j in range(size)] for i in range(size)]
-    return det, inverse
+    # inverse = adjugate / det(PA), and denom = det(PA) = +-1 divides by multiplying
+    return det, [[denom * x for x in row[size:]] for row in a]
 
 
 def det_hessenberg(matrix) -> int:
@@ -188,13 +185,11 @@ def basis_inverse(n: int) -> Matrix:
     if n < 1:
         raise ValueError("dimension must be at least 1")
     inv = [[0] * (n + 1) for _ in range(n + 1)]
-    inv[0][0] = 1
-    inv[1][1] = -1
-    for j in range(2, n):
-        for k in range(2, j + 2):
-            inv[j][k] = -comb(j, k - 1) if k % 2 == 0 else comb(j, k - 1)
-    for k in range(2, n + 1):
-        inv[n][k] = comb(n, k) if k % 2 == 0 else -comb(n, k)
+    inv[0][0], inv[1][1] = 1, -1
+    signed = [1, -1]  # (-1)^i C(j, i), Pascal row j = 1
+    for j in range(2, n + 1):
+        signed = [1, *map(sub, signed[1:], signed), -signed[-1]]
+        inv[j][2:] = signed[1:] + [0] * (n - j - 1) if j < n else signed[2:]
     return inv
 
 
@@ -207,24 +202,34 @@ class BasisCertificate(NamedTuple):
     inverse: tuple[tuple[int, ...], ...]
 
     def verify(self) -> bool:
-        """Multiply back to the identity, exactly, on packed rows (module docstring)."""
-        if self.det not in (1, -1):
+        """Prove ``M N = I`` exactly, for ``M`` the basis matrix (module docstring)."""
+        n, shape = self.n, {len(self.inverse), *map(len, self.inverse)}
+        if self.det not in (1, -1) or n < 1 or shape != {n + 1}:
             return False
-        top = [max(map(abs, chain(*m)), default=0) for m in (self.matrix, self.inverse)]
-        w = max(1, len(self.inverse) * top[0] * top[1]).bit_length() + 1
-        packed = [sum(x << (j * w) for j, x in enumerate(row) if x) for row in self.inverse]
-        products = (sum(map(mul, row, packed)) for row in self.matrix)
-        return all(p == 1 << (i * w) for i, p in enumerate(products))
+        closed = [TruncatedPoly.one(n), -TruncatedPoly.t(n)]
+        closed += [basis_class_closed_form(n, m) for m in range(2, n + 1)]
+        if [tuple(row) for row in self.matrix] != [c.coeffs for c in closed]:
+            return False
+        top = [max(map(abs, chain(*m))) for m in (self.matrix, self.inverse)]
+        w = max(1, (n + 1) * top[0] * top[1]).bit_length() + 1
+        rows = [sum(x << (j * w) for j, x in enumerate(row) if x) for row in self.inverse]
+        if rows[0] != 1 or -rows[1] != 1 << w:
+            return False
+        total = sum(rows[1:])
+        del rows[n:]  # F_(n-1), the last one needed, reads R_0 .. R_(n-1)
+        for m in range(2, n + 1):  # one level of the difference table at a time
+            for k in range(len(rows) - 1):  # in place: rows[0] becomes F_(m-1)
+                rows[k] -= rows[k + 1]
+            rows.pop()
+            if (m - 1) * total + rows[0] - 1 != 1 << (m * w):
+                return False
+        return True
 
     def coordinates_of(self, c: TruncatedPoly) -> tuple[int, ...]:
         """Coordinates of ``c`` in the certified basis (row vector times inverse)."""
         if c.n != self.n:
             raise ValueError(f"class has n={c.n}, certificate has n={self.n}")
-        v = c.coeffs
-        return tuple(
-            sum(v[k] * self.inverse[k][j] for k in range(self.n + 1))
-            for j in range(self.n + 1)
-        )
+        return tuple(sum(map(mul, c.coeffs, col)) for col in zip(*self.inverse))
 
     def as_dict(self) -> dict:
         return {
@@ -243,16 +248,14 @@ def certify_basis(n: int) -> BasisCertificate:
     certificate is kept only if the matrix times the inverse is exactly the
     identity, which makes the inverse correct and ``det(M) = det(N) = +-1``.
     A failed back-multiplication raises ``ArithmeticError``; it is not
-    reachable for valid ``n``.
+    reachable for valid ``n``.  The work grows about as ``n^4``, so ``n``
+    above ``MAX_BASIS_N`` raises ``ValueError``.
     """
-    m = basis_matrix(n)
-    inv = basis_inverse(n)
-    cert = BasisCertificate(
-        n=n,
-        matrix=tuple(tuple(row) for row in m),
-        det=det_hessenberg(inv),
-        inverse=tuple(tuple(row) for row in inv),
-    )
+    if n > MAX_BASIS_N:
+        raise ValueError(f"dimension must be at most {MAX_BASIS_N}, got {n}")
+    m, inv = basis_matrix(n), basis_inverse(n)
+    matrix, inverse = tuple(map(tuple, m)), tuple(map(tuple, inv))
+    cert = BasisCertificate(n, matrix, det_hessenberg(inv), inverse)
     if not cert.verify():
         raise ArithmeticError("certificate failed back-multiplication check")
     return cert
@@ -277,11 +280,7 @@ def is_leading_block(small, big) -> bool:
 
 
 def nesting_check(n: int) -> bool:
-    """Does the order-``n`` basis matrix sit in the upper-left corner of order ``n+1``?
-
-    Compares the full (n+1) x (n+1) leading block, which is the reading
-    consistent with the matrix dimensions.
-    """
+    """Is the order-``n`` basis matrix the leading (n+1) x (n+1) block of order ``n+1``?"""
     if n < 1:
         raise ValueError("dimension must be at least 1")
     return is_leading_block(basis_matrix(n), basis_matrix(n + 1))

@@ -15,6 +15,7 @@ tautological bundle itself sits at ``m = -1`` with class ``1 + t + ... + t^n``.
 from __future__ import annotations
 
 import warnings
+from operator import index
 
 from .rings import TruncatedPoly
 
@@ -45,14 +46,17 @@ def line_class(n: int, m: int) -> TruncatedPoly:
     The coefficient of ``t^k`` is the signed generalised binomial
     ``(-1)^k C(m, k)``, built by ``c_k = c_(k-1) * (k-1-m) / k``.  Each
     division is exact because ``c_k`` is an integer, and the same row holds
-    for negative ``m``, where it is the expansion of ``(1 - t)^-|m|``.
+    for negative ``m``, where it is the expansion of ``(1 - t)^-|m|``.  The
+    coefficients are ints by construction, so only ``n`` and ``m`` are
+    coerced, once.
     """
+    n, m = index(n), index(m)
     if n < 0:
         raise ValueError("dimension must be nonnegative")
     coeffs = [1]
     for k in range(1, n + 1):
         coeffs.append(coeffs[-1] * (k - 1 - m) // k)
-    return TruncatedPoly(n, coeffs)
+    return TruncatedPoly._raw(n, tuple(coeffs))
 
 
 def restrict(c: TruncatedPoly, n_target: int) -> TruncatedPoly:

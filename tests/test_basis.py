@@ -304,6 +304,66 @@ class TestCertificates:
                 assert not is_identity_product(bad.matrix, bad.inverse)
                 assert not bad.verify(), (n, u, i, j)
 
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_verify_rejects_identity_pair(self, n):
+        # I times I is I, but I is not the basis matrix
+        eye = tuple(tuple(int(i == j) for j in range(n + 1)) for i in range(n + 1))
+        bad = BasisCertificate(n=n, matrix=eye, det=1, inverse=eye)
+        assert is_identity_product(bad.matrix, bad.inverse)
+        assert not bad.verify()
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 13])
+    def test_verify_rejects_matrix_row_missing_or_extra(self, n):
+        # the inverse is the true one; only the stored matrix is wrong
+        cert = certify_basis(n)
+        zero = (0,) * (n + 1)
+        for matrix in (
+            cert.matrix[:-1],
+            cert.matrix[1:],
+            cert.matrix + (zero,),
+            cert.matrix + (cert.matrix[-1],),
+            (zero,) + cert.matrix,
+        ):
+            bad = BasisCertificate(n=n, matrix=matrix, det=cert.det, inverse=cert.inverse)
+            assert not bad.verify(), len(matrix)
+
+    @pytest.mark.parametrize("n", [1, 3, 8, 21])
+    def test_verify_rejects_matrix_entry_off_by_one(self, n):
+        cert = certify_basis(n)
+        size = n + 1
+        cells = [(i, j) for i in range(size) for j in range(size)]
+        for i, j in random.Random(n).sample(cells, min(len(cells), 30)):
+            for delta in (1, -1):
+                matrix = [list(row) for row in cert.matrix]
+                matrix[i][j] += delta
+                bad = BasisCertificate(
+                    n=n, matrix=tuple(map(tuple, matrix)), det=cert.det, inverse=cert.inverse
+                )
+                assert not is_identity_product(bad.matrix, bad.inverse)
+                assert not bad.verify(), (n, i, j, delta)
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_verify_rejects_inverse_of_wrong_shape(self, n):
+        # a zero column appended to N leaves every packed row of M N unchanged
+        cert = certify_basis(n)
+        for inverse in (
+            [row + (0,) for row in cert.inverse],
+            cert.inverse[:-1],
+            cert.inverse + ((0,) * (n + 1),),
+        ):
+            assert not with_inverse(cert, inverse).verify(), len(inverse)
+
+    def test_verify_agrees_with_triple_loop_to_64(self):
+        rng = random.Random(64)
+        for n in range(1, 65):
+            cert = certify_basis(n)
+            inv = [list(row) for row in cert.inverse]
+            inv[rng.randrange(n + 1)][rng.randrange(n + 1)] += rng.choice((1, -1))
+            for candidate in (cert, with_inverse(cert, inv)):
+                expected = is_identity_product(candidate.matrix, candidate.inverse)
+                assert candidate.verify() == expected, n
+            assert cert.verify(), n
+
     def test_verify_rejects_zero_inverse(self):
         for n in (1, 2, 7):
             cert = certify_basis(n)

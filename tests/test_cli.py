@@ -1,5 +1,6 @@
 """CLI envelopes, schema conformance, determinism, and exit codes."""
 
+import hashlib
 import io
 import json
 import subprocess
@@ -60,6 +61,28 @@ class TestKBasis:
         assert code == 1
         assert out == ""
         assert err.startswith("error:")
+
+    def test_dimension_budget(self, capsys, monkeypatch):
+        import qcpn.basis
+
+        def refuse_work(n):
+            raise AssertionError("the basis matrix was built")
+
+        monkeypatch.setattr(qcpn.basis, "basis_matrix", refuse_work)
+        code, out, err = invoke(capsys, "kbasis", "--n", "401")
+        assert (code, out, err) == (1, "", "error: dimension must be at most 400, got 401\n")
+
+    # sha256 of the envelopes printed before the certificate was checked
+    # through its closed-form rows; the faster check must print the same bytes
+    @pytest.mark.parametrize("n, digest", [
+        (8, "e11b47f0f17f76a6b75029a1509779539c925f9ae4007b5ab67423426af222c0"),
+        (50, "28954caad0f975a06d85b2faf9f549be0ac26c8fe0c4f36390bfae9a8544112f"),
+        (200, "781a921991979d88d81cf563dc11a4c102dbc2f76be2a601ba3332cdb1a8102a"),
+    ])
+    def test_envelope_bytes_pinned(self, capsys, n, digest):
+        code, out, _ = invoke(capsys, "kbasis", "--n", str(n))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestKClass:

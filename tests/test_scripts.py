@@ -61,6 +61,15 @@ class TestCertifyRange:
         assert lines[2] == "n=  3  FAIL  matrix for n=2 is not its leading block"
         assert lines[3] == "n=  4  FAIL  matrix for n=3 is not its leading block"
 
+    def test_max_n_above_budget_is_a_usage_error(self, certify_range, capsys):
+        assert certify_range.parse_args(["--max-n", "400"]).max_n == 400
+        with pytest.raises(SystemExit) as exc:
+            certify_range.parse_args(["--max-n", "401"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: --max-n must be at most 400, got 401\n"
+        )
+
 
 class TestFuzzCampaign:
     def test_clean_campaign(self, fuzz_campaign, capsys):

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain
-from operator import index, mul, sub
+from operator import index, mul, ne, sub
 from typing import NamedTuple
 
 from .corep import associated_class, fundamental_weights
@@ -53,7 +53,7 @@ from .rings import TruncatedPoly
 
 Matrix = list[list[int]]
 
-MAX_BASIS_N = 400  # n = 400 builds in about 0.5 s and verifies in about 1.5 s
+MAX_BASIS_N = 400  # kbasis --n 400: about 2 s and a 13 MB envelope
 
 
 class UnimodularityError(ArithmeticError):
@@ -206,9 +206,9 @@ class BasisCertificate(NamedTuple):
         n, shape = self.n, {len(self.inverse), *map(len, self.inverse)}
         if self.det not in (1, -1) or n < 1 or shape != {n + 1}:
             return False
-        closed = [TruncatedPoly.one(n), -TruncatedPoly.t(n)]
-        closed += [basis_class_closed_form(n, m) for m in range(2, n + 1)]
-        if [tuple(row) for row in self.matrix] != [c.coeffs for c in closed]:
+        closed = (basis_class_closed_form(n, m).coeffs for m in range(2, n + 1))
+        closed = chain((TruncatedPoly.one(n).coeffs, (-TruncatedPoly.t(n)).coeffs), closed)
+        if len(self.matrix) != n + 1 or any(map(ne, map(tuple, self.matrix), closed)):
             return False
         top = [max(map(abs, chain(*m))) for m in (self.matrix, self.inverse)]
         w = max(1, (n + 1) * top[0] * top[1]).bit_length() + 1

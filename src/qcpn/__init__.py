@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 
 _PUBLIC = {
     "rings": ("LaurentQ", "NotInvertibleError", "TruncatedPoly", "TruncationMismatchError"),
-    "kclasses": ("KClass", "euler_class", "line_class", "restrict"),
+    "kclasses": ("KClass", "line_class", "restrict"),
     "pairing": ("PairingVector", "index_pairing", "pairing_matrix", "pairing_vector"),
     "corep": (
         "WeightVector",
@@ -40,7 +40,6 @@ _PUBLIC = {
         "basis_class_closed_form",
         "basis_matrix",
         "certify_basis",
-        "expand_in_basis",
         "nesting_check",
         "unimodular_inverse",
     ),

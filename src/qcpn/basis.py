@@ -16,6 +16,14 @@ and the constants and leaves ``(1 - u)^j = t^j``; for ``j = n``, where
 ``b_(n+1)`` is missing, ``sum_k (-1)^k C(n, k) b_k`` gives ``t^n u^-1 = t^n``.
 Tests check this against ``unimodular_inverse``, a fraction-free Gauss-Jordan.
 
+The determinant has a closed form.  For ``n = 1``, ``M = diag(1, -1)``.  For
+``n >= 2``, subtracting ``(m-1) b_2`` from ``b_m`` for ``m >= 3`` leaves
+``u^(m-1) - 1 - (m-1)(u - 1)``: no term below ``t^2``, degree ``m-1`` in
+``t`` and leading coefficient ``(-1)^(m-1)``.  Moving ``b_2 = t^2 + ... + t^n``
+to the last row, a cycle of ``n-1`` rows, then leaves ``M`` lower triangular,
+so ``det M = -(-1)^(n-2) prod_(m=3..n) (-1)^(m-1) = (-1)^(n(n+1)/2)``, and
+``det N = det M`` because ``M N = I``.  ``verify`` requires exactly this sign.
+
 The back-multiplication packs row ``k`` of ``N`` into one integer
 ``R_k = sum_j N[k][j] 2^(j w)``.  Row ``i`` of ``P = M N`` then packs to
 ``sum_k M[i][k] R_k = sum_j P[i][j] 2^(j w)``, which must be ``2^(i w)``.
@@ -42,7 +50,6 @@ multiplications give every ``F_j``.  These are the integers above.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import chain
 from operator import index, mul, ne, sub
 from typing import NamedTuple
@@ -202,9 +209,9 @@ class BasisCertificate(NamedTuple):
     inverse: tuple[tuple[int, ...], ...]
 
     def verify(self) -> bool:
-        """Prove ``M N = I`` exactly, for ``M`` the basis matrix (module docstring)."""
+        """Prove ``M N = I`` and the sign of ``det`` for the basis matrix (module docstring)."""
         n, shape = self.n, {len(self.inverse), *map(len, self.inverse)}
-        if self.det not in (1, -1) or n < 1 or shape != {n + 1}:
+        if n < 1 or shape != {n + 1} or self.det != (-1) ** (n * (n + 1) // 2):
             return False
         closed = (basis_class_closed_form(n, m).coeffs for m in range(2, n + 1))
         closed = chain((TruncatedPoly.one(n).coeffs, (-TruncatedPoly.t(n)).coeffs), closed)
@@ -246,7 +253,7 @@ def certify_basis(n: int) -> BasisCertificate:
     The inverse is the closed form of ``basis_inverse`` and the determinant
     is ``det_hessenberg`` of that inverse; neither is trusted.  The
     certificate is kept only if the matrix times the inverse is exactly the
-    identity, which makes the inverse correct and ``det(M) = det(N) = +-1``.
+    identity and the determinant is its closed form ``(-1)^(n(n+1)/2)``.
     A failed back-multiplication raises ``ArithmeticError``; it is not
     reachable for valid ``n``.  The work grows about as ``n^4``, so ``n``
     above ``MAX_BASIS_N`` raises ``ValueError``.
@@ -259,16 +266,6 @@ def certify_basis(n: int) -> BasisCertificate:
     if not cert.verify():
         raise ArithmeticError("certificate failed back-multiplication check")
     return cert
-
-
-@lru_cache(maxsize=None)
-def _cached_certificate(n: int) -> BasisCertificate:
-    return certify_basis(n)
-
-
-def expand_in_basis(c: TruncatedPoly):
-    """Unique integer coordinates of ``c`` in the certified basis."""
-    return _cached_certificate(c.n).coordinates_of(c)
 
 
 def is_leading_block(small, big) -> bool:

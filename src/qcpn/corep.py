@@ -37,10 +37,6 @@ class WeightVector(_Value):
     def counts(self) -> Counter:
         return Counter(self.weights)
 
-    def union(self, other: "WeightVector") -> "WeightVector":
-        """Multiset union (direct sum of corepresentations)."""
-        return WeightVector(self.weights + other.weights)
-
     def __len__(self) -> int:
         return len(self.weights)
 

@@ -14,30 +14,11 @@ tautological bundle itself sits at ``m = -1`` with class ``1 + t + ... + t^n``.
 
 from __future__ import annotations
 
-import warnings
 from operator import index
 
 from .rings import TruncatedPoly
 
 KClass = TruncatedPoly
-
-
-def euler_class(n: int) -> TruncatedPoly:
-    """The Euler class ``t = [1] - [L_1]`` of the dual tautological bundle.
-
-    For ``n = 0`` the ring is plain ``Z`` and the class vanishes; a warning
-    is emitted and the zero class returned.
-    """
-    if n < 0:
-        raise ValueError("dimension must be nonnegative")
-    if n == 0:
-        warnings.warn(
-            "euler class vanishes for n=0 (K-theory ring is Z)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return TruncatedPoly.zero(0)
-    return TruncatedPoly.t(n)
 
 
 def line_class(n: int, m: int) -> TruncatedPoly:

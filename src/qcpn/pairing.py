@@ -35,12 +35,6 @@ class PairingVector(_Value):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "values", values)
 
-    def rank(self) -> int:
-        return self.values[0]
-
-    def first_chern(self) -> int:
-        return self.values[1] if self.n >= 1 else 0
-
 
 def pairing_vector(c: TruncatedPoly) -> PairingVector:
     return PairingVector(c.n, tuple(index_pairing(k, c) for k in range(c.n + 1)))

@@ -240,10 +240,6 @@ class LaurentQ(_Ring):
         return cls({0: 1})
 
     @classmethod
-    def from_int(cls, c: int) -> "LaurentQ":
-        return cls({0: c})
-
-    @classmethod
     def q_power(cls, e: int, coeff: int = 1) -> "LaurentQ":
         """The monomial ``coeff * q^e``."""
         return cls({e: coeff})
@@ -256,13 +252,6 @@ class LaurentQ(_Ring):
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def is_one(self) -> bool:
-        return self._terms == {0: 1}
-
-    def at_q_one(self) -> int:
-        """Evaluate at ``q = 1`` (the classical specialisation)."""
-        return sum(self._terms.values())
 
     def __hash__(self):
         if not self._terms.keys() - {0}:  # a constant hashes like its int
@@ -337,7 +326,7 @@ class TruncatedPoly(_Ring):
 
     @classmethod
     def t(cls, n: int) -> "TruncatedPoly":
-        """The class of the variable ``t`` (zero when ``n = 0``)."""
+        """The variable ``t``, the Euler class ``[1] - [L_1]`` (zero when ``n = 0``)."""
         if n == 0:
             return cls(0)
         return cls(n, (0, 1))
@@ -348,10 +337,9 @@ class TruncatedPoly(_Ring):
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def constant_term(self) -> int:
+    def rank(self) -> int:
+        """The constant term: for a K-class, the fibre dimension of the bundle."""
         return self.coeffs[0]
-
-    rank = constant_term  # K-class name: the fibre dimension of a bundle
 
     def __hash__(self):
         if not any(self.coeffs[1:]):  # a constant hashes like its int

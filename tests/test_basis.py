@@ -20,7 +20,6 @@ from qcpn.basis import (
     basis_matrix,
     certify_basis,
     det_hessenberg,
-    expand_in_basis,
     is_leading_block,
     nesting_check,
     unimodular_inverse,
@@ -85,6 +84,11 @@ def with_inverse(cert, inverse):
         n=cert.n, matrix=cert.matrix, det=cert.det,
         inverse=tuple(tuple(row) for row in inverse),
     )
+
+
+def closed_form_det(n):
+    """``det`` of the order-``n`` basis matrix and its inverse (``basis`` docstring)."""
+    return (-1) ** (n * (n + 1) // 2)
 
 
 def random_unimodular(rng, size, ops=25):
@@ -242,7 +246,7 @@ class TestCertificates:
         for n in range(1, 41):
             det, inv = unimodular_inverse(basis_matrix(n))
             assert basis_inverse(n) == inv, n
-            assert certify_basis(n).det == det, n
+            assert certify_basis(n).det == det == closed_form_det(n), n
 
     def test_failed_back_multiplication_raises(self, monkeypatch):
         import qcpn.basis as basis
@@ -308,7 +312,7 @@ class TestCertificates:
     def test_verify_rejects_identity_pair(self, n):
         # I times I is I, but I is not the basis matrix
         eye = tuple(tuple(int(i == j) for j in range(n + 1)) for i in range(n + 1))
-        bad = BasisCertificate(n=n, matrix=eye, det=1, inverse=eye)
+        bad = BasisCertificate(n=n, matrix=eye, det=closed_form_det(n), inverse=eye)
         assert is_identity_product(bad.matrix, bad.inverse)
         assert not bad.verify()
 
@@ -378,6 +382,16 @@ class TestCertificates:
                 n=4, matrix=cert.matrix, det=det, inverse=cert.inverse
             ).verify()
 
+    def test_verify_rejects_negated_determinant(self):
+        for n in range(1, 65):
+            cert = certify_basis(n)
+            assert cert.det == closed_form_det(n) and cert.verify(), n
+            assert not cert._replace(det=-cert.det).verify(), n
+
+    def test_closed_form_determinant_matches_hessenberg(self):
+        for n in [*range(1, 101), 141, 200, 400]:
+            assert det_hessenberg(basis_inverse(n)) == closed_form_det(n), n
+
     def test_coordinates_of_tautological(self):
         cert = certify_basis(3)
         assert cert.coordinates_of(line_class(3, -1)) == (1, -1, 1, 0)
@@ -398,16 +412,15 @@ class TestCertificates:
             st.lists(st.integers(-50, 50), min_size=n + 1, max_size=n + 1)
         )
         c = KClass(n, TruncatedPoly(n, coeffs))
-        coords = expand_in_basis(c)
+        coords = certify_basis(n).coordinates_of(c)
         rebuilt = KClass.zero(n)
         for j, x in enumerate(coords):
             rebuilt = rebuilt + x * basis_class(n, j)
         assert rebuilt == c
 
     def test_expansion_accepts_explicit_certificate(self):
-        cert = certify_basis(2)
         one = KClass.one(2)
-        assert expand_in_basis(one) == cert.coordinates_of(one) == (1, 0, 0)
+        assert certify_basis(2).coordinates_of(one) == (1, 0, 0)
 
 
 class TestNesting:

@@ -1,27 +1,12 @@
-"""Line classes, the Euler class, and restriction in the t-basis."""
+"""Line classes and restriction in the t-basis."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from qcpn.basis import basis_class
 from qcpn.corep import associated_class, fundamental_weights
-from qcpn.kclasses import KClass, euler_class, line_class, restrict
+from qcpn.kclasses import KClass, line_class, restrict
 from qcpn.rings import TruncatedPoly
-
-
-class TestEulerClass:
-    def test_is_t(self):
-        assert euler_class(2).coeffs == (0, 1, 0)
-        assert euler_class(1).coeffs == (0, 1)
-
-    def test_order_zero_warns_and_vanishes(self):
-        with pytest.warns(RuntimeWarning):
-            c = euler_class(0)
-        assert c.n == 0 and c.is_zero()
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            euler_class(-1)
 
 
 class TestLineClass:

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+import qcpn
 from qcpn.basis import BasisCertificate
 from qcpn.corep import WeightVector
 from qcpn.kclasses import line_class
@@ -98,6 +99,22 @@ else:
 """
     out = subprocess.run([sys.executable, "-c", code, SRC], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
+
+
+def test_public_surface_is_pinned():
+    # adding or dropping a public name must edit this list on purpose
+    assert sorted(qcpn.__all__) == [
+        "ALL_RULES", "BasisCertificate", "Generator", "KClass", "LaurentQ", "NCPoly",
+        "NCSyntaxError", "NotInvertibleError", "PairingVector", "ReductionReport",
+        "StepBudgetExceeded", "TruncatedPoly", "TruncationMismatchError", "UnimodularityError",
+        "WeightVector", "__version__", "associated_class", "basis_class",
+        "basis_class_closed_form", "basis_matrix", "certify_basis", "defining_relations",
+        "exhaustive_pair_check", "fundamental_decomposition", "fundamental_weights",
+        "fuzz_confluence", "index_pairing", "line_class", "nesting_check", "normal_form",
+        "pairing_matrix", "pairing_vector", "parse_expr", "project_to_s3", "restrict",
+        "satisfies_determinant_condition", "sphere_sum", "unimodular_inverse",
+        "verify_defining_relations",
+    ]
 
 
 @pytest.mark.parametrize(

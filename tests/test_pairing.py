@@ -6,7 +6,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from qcpn.kclasses import KClass, euler_class, line_class
+from qcpn.kclasses import KClass, line_class
 from qcpn.pairing import PairingVector, index_pairing, pairing_matrix, pairing_vector
 from qcpn.rings import TruncatedPoly
 
@@ -40,7 +40,7 @@ class TestIndexPairing:
             c = line_class(4, m)
             assert index_pairing(0, c) == 1
             assert index_pairing(1, c) == m
-        assert index_pairing(1, euler_class(4)) == -1
+        assert index_pairing(1, TruncatedPoly.t(4)) == -1
 
     @given(st.integers(1, 12), st.integers(-25, 25), st.integers(0, 12))
     def test_generalized_binomial(self, n, m, k):
@@ -82,8 +82,8 @@ class TestPairingVector:
 
     def test_accessors(self):
         v = pairing_vector(line_class(3, 5))
-        assert v.rank() == 1
-        assert v.first_chern() == 5
+        assert v.values[0] == 1
+        assert v.values[1] == 5
 
     def test_length_invariant(self):
         with pytest.raises(ValueError):

@@ -78,7 +78,7 @@ def sphere_point(rng, n):
 def evaluate_q1(p, xs, ys):
     total = Fraction(0)
     for word, coeff in p.terms():
-        v = Fraction(coeff.at_q_one())
+        v = Fraction(sum(coeff.terms().values()))
         for g in word:
             v *= ys[g.index] if g.starred else xs[g.index]
         total += v

@@ -36,6 +36,15 @@ value, and at the lowest differing digit ``j`` the difference is
 zero.  So the packed rows equal ``2^(i w)`` exactly when ``P`` is the
 identity; the check is a proof, not a sample.
 
+Each ``R_k`` is packed in time linear in its bit length.  An entry ``x``
+of ``N`` has ``|x| <= max|N| < 2^(w-1)`` (``M[0][0] = 1``), so ``x + 2^(w-1)``
+fits an unsigned slot of ``w`` bits; the slots are joined as bytes, read
+as one integer by ``int.from_bytes``, and the bias
+``sum_j 2^(w-1) 2^(j w)``, the same for every row, is subtracted once.  So
+``w`` is rounded up to whole bytes.  A wider slot still satisfies the
+inequality above, and the argument uses nothing else about ``w``, so the
+uniqueness proof holds unchanged.
+
 ``BasisCertificate.verify`` forms these sums through the rows of ``M``.  It
 first compares the stored ``M`` entry by entry with its closed form
 (``basis_class_closed_form``): ``e_0``, ``-e_1`` and ``(m-1) r + s_(m-1)``,
@@ -54,13 +63,11 @@ from itertools import chain
 from operator import index, mul, ne, sub
 from typing import NamedTuple
 
-from .corep import associated_class, fundamental_weights
-from .kclasses import line_class
+from .corep import WeightVector, associated_class, fundamental_weights
+from .kclasses import MAX_BASIS_N, line_class
 from .rings import TruncatedPoly
 
 Matrix = list[list[int]]
-
-MAX_BASIS_N = 400  # kbasis --n 400: about 2 s and a 13 MB envelope
 
 
 class UnimodularityError(ArithmeticError):
@@ -104,10 +111,23 @@ def basis_class_closed_form(n: int, m: int) -> TruncatedPoly:
 
 
 def basis_matrix(n: int) -> Matrix:
-    """Rows are the t-coefficients of the candidate basis classes."""
+    """Rows are the t-coefficients of the candidate basis classes.
+
+    Row ``m`` is ``basis_class(n, m)`` through the same bundle route, but
+    the line classes are built once for the whole matrix and the constant
+    ``m`` is subtracted from the row itself.  ``b_1`` is the bundle of the
+    single weight 1 minus the unit.
+    """
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    return [list(basis_class(n, j).coeffs) for j in range(n + 1)]
+    rows = [[1] + [0] * n]
+    lines = {}  # weight -> line class, shared by every row
+    for m in range(1, n + 1):
+        weights = fundamental_weights(m) if m > 1 else WeightVector((1,))
+        row = list(associated_class(n, weights, lines).coeffs)
+        row[0] -= m
+        rows.append(row)
+    return rows
 
 
 def _check_square(matrix) -> list[list[int]]:
@@ -218,8 +238,13 @@ class BasisCertificate(NamedTuple):
         if len(self.matrix) != n + 1 or any(map(ne, map(tuple, self.matrix), closed)):
             return False
         top = [max(map(abs, chain(*m))) for m in (self.matrix, self.inverse)]
-        w = max(1, (n + 1) * top[0] * top[1]).bit_length() + 1
-        rows = [sum(x << (j * w) for j, x in enumerate(row) if x) for row in self.inverse]
+        slot = (max(1, (n + 1) * top[0] * top[1]).bit_length() + 8) // 8  # bytes
+        w, half = 8 * slot, 1 << (8 * slot - 1)
+        bias = int.from_bytes(half.to_bytes(slot, "little") * (n + 1), "little")
+        rows = [
+            int.from_bytes(b"".join([(x + half).to_bytes(slot, "little") for x in row]), "little") - bias
+            for row in self.inverse
+        ]
         if rows[0] != 1 or -rows[1] != 1 << w:
             return False
         total = sum(rows[1:])
@@ -239,11 +264,16 @@ class BasisCertificate(NamedTuple):
         return tuple(sum(map(mul, c.coeffs, col)) for col in zip(*self.inverse))
 
     def as_dict(self) -> dict:
+        """JSON form; each row is a one-shot iterator of decimal strings.
+
+        A row's strings are made only when the row is read, so the CLI
+        writer holds one row of them at a time, never the whole matrix.
+        """
         return {
             "n": self.n,
-            "matrix": [[str(x) for x in row] for row in self.matrix],
+            "matrix": [map(str, row) for row in self.matrix],
             "det": str(self.det),
-            "inverse": [[str(x) for x in row] for row in self.inverse],
+            "inverse": [map(str, row) for row in self.inverse],
         }
 
 

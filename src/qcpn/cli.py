@@ -10,6 +10,16 @@ pairing values) are serialized as decimal strings; structural parameters
 stay plain JSON numbers.  ``--format csv`` is available where the result
 is a bare matrix or coefficient row.
 
+One writer, ``_write_json``, prints every envelope, byte for byte as
+``json.dumps(envelope, sort_keys=True, indent=2)`` would.  It writes as
+it walks, and reads any iterable as an array, so a certificate's rows
+(``BasisCertificate.as_dict``) become decimal strings one row at a time,
+when the writer reaches them.
+
+The K-class commands (``kclass``, ``pair``, ``restrict``) refuse ``--n``
+above ``MAX_BASIS_N`` and line powers beyond ``MAX_LINE_POWER`` in
+absolute value, which bounds the size of every class they print.
+
 Exit codes: 0 success, 1 domain error (diagnostic on stderr), 2 usage
 error (argparse diagnostics).
 
@@ -20,27 +30,48 @@ minus sign must be attached, as in ``--expr=-z0``.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import lru_cache
-from itertools import islice
+from itertools import repeat
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
 
+MAX_LINE_POWER = 10**6  # largest |m| of a line class the K-class commands build
 
-_CHUNKS_PER_WRITE = 4096
 
+def _write_json(obj, write, newline="\n") -> None:
+    """Write ``json.dumps(obj, sort_keys=True, indent=2)`` through ``write``.
 
-def _write_json(obj) -> None:
-    """Write ``json.dumps(obj, sort_keys=True, indent=2)`` and a newline.
-
-    The encoder's chunks are joined and written a few thousand at a time,
-    so a large envelope is never held as one list of every chunk.
+    ``newline`` is a line break followed by the indentation of ``obj``.
+    Dict keys must be strings.  Any other iterable but a string is an
+    array, read once; an array of strings is written as one ``str.join``,
+    and an array of anything else item by item.  Plain recursion, with no
+    closures, so a call leaves no reference cycle behind.
     """
-    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(obj)
-    while piece := "".join(islice(chunks, _CHUNKS_PER_WRITE)):
-        sys.stdout.write(piece)
-    sys.stdout.write("\n")
+    if isinstance(obj, str):
+        write(_quote(obj))
+    elif obj is None or obj is True or obj is False:
+        write("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        write(int.__repr__(obj))
+    elif isinstance(obj, dict):
+        sep, inner = "{", newline + "  "
+        for key, value in sorted(obj.items()):
+            write(f"{sep}{inner}{_quote(key)}: ")
+            _write_json(value, write, inner)
+            sep = ","
+        write(newline + "}" if obj else "{}")
+    else:
+        items, sep, inner = list(obj), "[", newline + "  "
+        if items and all(map(isinstance, items, repeat(str))):
+            write(sep + inner + ("," + inner).join(map(_quote, items)) + newline + "]")
+            return
+        for item in items:
+            write(sep + inner)
+            _write_json(item, write, inner)
+            sep = ","
+        write(newline + "]" if items else "[]")
 
 
 def _parse_coeffs(text: str) -> list[int]:
@@ -50,8 +81,19 @@ def _parse_coeffs(text: str) -> list[int]:
         raise ValueError(f"--coeffs expects comma-separated integers, got {text!r}")
 
 
+def _check_class_budget(n: int, m: "int | None" = None) -> None:
+    """Refuse a class of order above ``MAX_BASIS_N`` or a line power ``|m| > MAX_LINE_POWER``."""
+    from .kclasses import MAX_BASIS_N
+
+    if n > MAX_BASIS_N:
+        raise ValueError(f"dimension must be at most {MAX_BASIS_N}, got {n}")
+    if m is not None and abs(m) > MAX_LINE_POWER:
+        raise ValueError(f"line power must be at most {MAX_LINE_POWER} in absolute value")
+
+
 def _selected_class(args) -> tuple:
     """The class named by ``--line``, ``--basis`` or ``--coeffs``, and its params entry."""
+    _check_class_budget(args.n, args.line)
     if args.line is not None:
         from .kclasses import line_class
 
@@ -80,6 +122,7 @@ def _run_kbasis(args):
 def _run_kclass_line(args):
     from .kclasses import line_class
 
+    _check_class_budget(args.n, args.m)
     c = line_class(args.n, args.m)
     return {"n": args.n, "m": args.m, "format": args.format}, c.as_dict(), [c.coeffs]
 
@@ -87,6 +130,7 @@ def _run_kclass_line(args):
 def _run_kclass_assoc(args):
     from .corep import associated_class, fundamental_weights
 
+    _check_class_budget(args.n)
     w = fundamental_weights(args.su)
     c = associated_class(args.n, w)
     decomposition = [
@@ -266,7 +310,7 @@ def run(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if getattr(args, "format", None) == "csv":
-        sys.stdout.write("\n".join(",".join(map(str, row)) for row in rows) + "\n")
+        sys.stdout.writelines(",".join(map(str, row)) + "\n" for row in rows)
         return 0
     envelope = {
         "command": args.label,
@@ -274,7 +318,8 @@ def run(argv=None) -> int:
         "result": result,
         "version": __version__,
     }
-    _write_json(envelope)
+    _write_json(envelope, sys.stdout.write)
+    sys.stdout.write("\n")
     return 0
 
 

@@ -14,7 +14,8 @@ classes.
 from __future__ import annotations
 
 from collections import Counter
-from operator import index
+from itertools import repeat
+from operator import index, mul
 
 from .kclasses import line_class
 from .rings import TruncatedPoly, _Value
@@ -64,18 +65,25 @@ def satisfies_determinant_condition(w: WeightVector) -> bool:
     return w.total() == 0
 
 
-def associated_class(n: int, w: WeightVector) -> TruncatedPoly:
+def associated_class(n: int, w: WeightVector, lines: dict | None = None) -> TruncatedPoly:
     """K-class of the vector bundle associated to a weight multiset.
 
     Weightwise cotensor: each weight ``lam`` contributes the line class of
-    the degree-``lam`` spectral subspace.
+    the degree-``lam`` spectral subspace, and the coefficients are summed
+    column by column in one pass.  ``lines`` maps weights to their line
+    classes of order ``n``; the classes it lacks are built and added, so
+    callers that pass one dict build each line class once.
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    total = TruncatedPoly.zero(n)
+    if lines is None:
+        lines = {}
+    scaled = []
     for lam, mult in w.counts().items():
-        total = total + mult * line_class(n, lam)
-    return total
+        if lam not in lines:
+            lines[lam] = line_class(n, lam)
+        scaled.append(map(mul, repeat(mult), lines[lam].coeffs))
+    return TruncatedPoly._raw(n, tuple(map(sum, zip(*scaled))))
 
 
 def fundamental_decomposition(n: int, m: int) -> WeightVector:

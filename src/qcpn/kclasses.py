@@ -20,6 +20,8 @@ from .rings import TruncatedPoly
 
 KClass = TruncatedPoly
 
+MAX_BASIS_N = 400  # largest n of kbasis and of every K-class the CLI prints
+
 
 def line_class(n: int, m: int) -> TruncatedPoly:
     """Class of the degree-``m`` spectral subspace line bundle: ``(1 - t)^m``.
@@ -27,16 +29,18 @@ def line_class(n: int, m: int) -> TruncatedPoly:
     The coefficient of ``t^k`` is the signed generalised binomial
     ``(-1)^k C(m, k)``, built by ``c_k = c_(k-1) * (k-1-m) / k``.  Each
     division is exact because ``c_k`` is an integer, and the same row holds
-    for negative ``m``, where it is the expansion of ``(1 - t)^-|m|``.  The
-    coefficients are ints by construction, so only ``n`` and ``m`` are
-    coerced, once.
+    for negative ``m``, where it is the expansion of ``(1 - t)^-|m|``.  For
+    ``m >= 0`` the row stops at ``c_(m+1) = 0`` and every later coefficient
+    is zero too.  The coefficients are ints by construction, so only ``n``
+    and ``m`` are coerced, once.
     """
     n, m = index(n), index(m)
     if n < 0:
         raise ValueError("dimension must be nonnegative")
     coeffs = [1]
-    for k in range(1, n + 1):
+    for k in range(1, n + 1 if m < 0 else min(n, m) + 1):
         coeffs.append(coeffs[-1] * (k - 1 - m) // k)
+    coeffs += [0] * (n + 1 - len(coeffs))
     return TruncatedPoly._raw(n, tuple(coeffs))
 
 

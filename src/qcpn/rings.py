@@ -332,7 +332,9 @@ class TruncatedPoly(_Ring):
         return cls(n, (0, 1))
 
     def _constant(self, c) -> "TruncatedPoly | None":
-        return TruncatedPoly(self.n, (c,)) if isinstance(c, int) else None
+        if not isinstance(c, int):
+            return None
+        return TruncatedPoly._raw(self.n, (index(c),) + (0,) * self.n)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)

@@ -404,7 +404,7 @@ class TestCertificates:
     def test_as_dict_stringifies(self):
         d = certify_basis(1).as_dict()
         assert d["det"] == "-1"
-        assert d["matrix"] == [["1", "0"], ["0", "-1"]]
+        assert [list(row) for row in d["matrix"]] == [["1", "0"], ["0", "-1"]]
 
     @given(st.integers(1, 10), st.data())
     def test_expansion_roundtrip(self, n, data):

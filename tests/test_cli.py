@@ -1,17 +1,20 @@
 """CLI envelopes, schema conformance, determinism, and exit codes."""
 
+import gc
 import hashlib
 import io
 import json
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import given, strategies as st
 
 from qcpn.basis import certify_basis
-from qcpn.cli import build_parser, run
+from qcpn.cli import _write_json, build_parser, run
 from qcpn.ncparse import MAX_NESTING, parse_expr
 from qcpn.sphere import ALL_RULES, NCPoly, _leftmost, _reduce, normal_form
 
@@ -49,7 +52,7 @@ class TestKBasis:
             ["0", "-1", "0"],
             ["0", "0", "1"],
         ]
-        assert env["result"]["inverse"] == cert.as_dict()["inverse"]
+        assert env["result"]["inverse"] == [list(row) for row in cert.as_dict()["inverse"]]
 
     def test_csv_is_matrix_only(self, capsys):
         code, out, _ = invoke(capsys, "kbasis", "--n", "2", "--format", "csv")
@@ -165,6 +168,52 @@ class TestRestrict:
             capsys, "restrict", "--n", "2", "--line", "1", "--target", "3"
         )
         assert code == 1 and "error:" in err
+
+
+class TestClassBudgets:
+    @pytest.mark.parametrize("argv", [
+        ("kclass", "line", "--n", "401", "--m", "1"),
+        ("kclass", "assoc", "--n", "401", "--su", "2"),
+        ("pair", "--n", "401", "--line", "1"),
+        ("pair", "--n", "401", "--coeffs", "1"),
+        ("restrict", "--n", "401", "--line", "1", "--target", "1"),
+        ("restrict", "--n", "401", "--coeffs", "1", "--target", "1"),
+    ])
+    def test_dimension_refused(self, capsys, monkeypatch, argv):
+        import qcpn.kclasses
+
+        def refuse_work(n, m):
+            raise AssertionError("a line class was built")
+
+        monkeypatch.setattr(qcpn.kclasses, "line_class", refuse_work)
+        message = "error: dimension must be at most 400, got 401\n"
+        assert invoke(capsys, *argv) == (1, "", message)
+
+    @pytest.mark.parametrize("argv", [
+        ("kclass", "line", "--n", "2", "--m", "1000001"),
+        ("kclass", "line", "--n", "2", "--m", "-1000001"),
+        ("pair", "--n", "2", "--line", "1000001"),
+        ("pair", "--n", "2", "--line", "-" + "9" * 1001),
+        ("restrict", "--n", "2", "--line", "-1000001", "--target", "1"),
+    ])
+    def test_line_power_refused(self, capsys, monkeypatch, argv):
+        import qcpn.kclasses
+
+        def refuse_work(n, m):
+            raise AssertionError("a line class was built")
+
+        monkeypatch.setattr(qcpn.kclasses, "line_class", refuse_work)
+        message = "error: line power must be at most 1000000 in absolute value\n"
+        assert invoke(capsys, *argv) == (1, "", message)
+
+    @pytest.mark.parametrize("argv", [
+        ("kclass", "line", "--n", "400", "--m", "1000000"),
+        ("kclass", "assoc", "--n", "400", "--su", "2"),
+        ("pair", "--n", "400", "--line", "-1000000"),
+        ("restrict", "--n", "400", "--line", "1000000", "--target", "3"),
+    ])
+    def test_budget_limits_accepted(self, capsys, argv):
+        invoke_json(capsys, *argv)
 
 
 class TestNC:
@@ -423,6 +472,85 @@ class TestEnvelope:
         ]
         for argv in invocations:
             invoke_json(capsys, *argv)
+
+
+# JSON values of every kind the envelopes use, and strings that need escapes
+json_texts = st.text() | st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\u2028", "é", "\U0001f600"])
+json_ints = st.integers() | st.integers().map(lambda k: k * 10**60)
+json_values = st.recursive(
+    st.none() | st.booleans() | json_ints | json_texts,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(json_texts, inner),
+    max_leaves=40,
+)
+
+ENVELOPE_COMMANDS = [
+    ("kbasis", "--n", "3"),
+    ("kbasis", "--n", "1"),
+    ("kclass", "line", "--n", "3", "--m", "4"),
+    ("kclass", "assoc", "--n", "4", "--su", "2"),
+    ("pair", "--n", "3", "--line", "2"),
+    ("pair", "--n", "2", "--basis", "2"),
+    ("restrict", "--n", "3", "--line", "2", "--target", "2"),
+    ("nc", "reduce", "--n", "1", "--expr", "z1*z0"),
+    ("nc", "degree", "--expr", "z0s*z0s"),
+    ("nc", "degree", "--expr", "z0+z0s"),
+    ("nc", "fuzz", "--n", "1", "--max-len", "3", "--trials", "20", "--seed", "1"),
+    ("nc", "relations", "--n", "1"),
+]
+
+
+class TestWriter:
+    @given(json_values)
+    def test_matches_json_dumps(self, value):
+        out = io.StringIO()
+        _write_json(value, out.write)
+        assert out.getvalue() == json.dumps(value, sort_keys=True, indent=2)
+
+    def test_reads_any_iterable_as_an_array(self):
+        out = io.StringIO()
+        _write_json({"b": map(str, [1, -2]), "a": iter([[], {}, (x for x in [None])])}, out.write)
+        expected = {"b": ["1", "-2"], "a": [[], {}, [None]]}
+        assert out.getvalue() == json.dumps(expected, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("argv", ENVELOPE_COMMANDS)
+    def test_every_envelope_matches_json_dumps(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 0, err
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+    def test_commands_leave_no_reference_cycle(self, capsys):
+        commands = [argv for argv in ENVELOPE_COMMANDS if argv[0] in ("kbasis", "nc")]
+        commands.append(("kbasis", "--n", "8"))
+        for argv in commands:  # warm-up: imports and the cached parser
+            run(list(argv))
+        gc.collect()
+        gc.disable()  # an automatic collection would hide a cycle
+        try:
+            leftover = []
+            for argv in commands:
+                assert run(list(argv)) == 0
+                leftover.append(gc.collect())
+        finally:
+            gc.enable()
+            capsys.readouterr()
+        assert leftover == [0] * len(commands)
+
+    def test_kbasis_memory_peak(self, monkeypatch):
+        class Discard(io.TextIOBase):
+            def write(self, text):
+                return len(text)
+
+        monkeypatch.setattr(sys, "stdout", Discard())
+        assert run(["kbasis", "--n", "8"]) == 0  # imports and the cached parser
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert run(["kbasis", "--n", "200"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 2.2 MB envelope's strings are made one row at a time
+        assert peak < 5 * 2**20
 
 
 class TestUsageErrors:

@@ -427,6 +427,31 @@ class TestLongIntegers:
         assert env["result"]["pairings"] == [digits, "0"]
 
 
+# JSON values of every kind the envelopes use, and strings that need escapes
+json_texts = st.text() | st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\u2028", "é", "\U0001f600"])
+json_ints = st.integers() | st.integers().map(lambda k: k * 10**60)
+json_values = st.recursive(
+    st.none() | st.booleans() | json_ints | json_texts,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(json_texts, inner),
+    max_leaves=40,
+)
+
+ENVELOPE_COMMANDS = [
+    ("kbasis", "--n", "3"),
+    ("kbasis", "--n", "1"),
+    ("kclass", "line", "--n", "3", "--m", "4"),
+    ("kclass", "assoc", "--n", "4", "--su", "2"),
+    ("pair", "--n", "3", "--line", "2"),
+    ("pair", "--n", "2", "--basis", "2"),
+    ("restrict", "--n", "3", "--line", "2", "--target", "2"),
+    ("nc", "reduce", "--n", "1", "--expr", "z1*z0"),
+    ("nc", "degree", "--expr", "z0s*z0s"),
+    ("nc", "degree", "--expr", "z0+z0s"),
+    ("nc", "fuzz", "--n", "1", "--max-len", "3", "--trials", "20", "--seed", "1"),
+    ("nc", "relations", "--n", "1"),
+]
+
+
 class TestEnvelope:
     def test_keys_and_version(self, capsys):
         env = invoke_json(capsys, "kbasis", "--n", "1")
@@ -458,45 +483,8 @@ class TestEnvelope:
         assert Recorder.writes > 2  # more than one piece, then the newline
 
     def test_every_command_validates(self, capsys):
-        invocations = [
-            ("kbasis", "--n", "3"),
-            ("kclass", "line", "--n", "3", "--m", "4"),
-            ("kclass", "assoc", "--n", "4", "--su", "2"),
-            ("pair", "--n", "3", "--line", "2"),
-            ("restrict", "--n", "3", "--line", "2", "--target", "2"),
-            ("nc", "reduce", "--n", "1", "--expr", "z1*z0"),
-            ("nc", "degree", "--expr", "z0s*z0s"),
-            ("nc", "fuzz", "--n", "1", "--max-len", "3", "--trials", "20",
-             "--seed", "1"),
-            ("nc", "relations", "--n", "1"),
-        ]
-        for argv in invocations:
+        for argv in ENVELOPE_COMMANDS:
             invoke_json(capsys, *argv)
-
-
-# JSON values of every kind the envelopes use, and strings that need escapes
-json_texts = st.text() | st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\u2028", "é", "\U0001f600"])
-json_ints = st.integers() | st.integers().map(lambda k: k * 10**60)
-json_values = st.recursive(
-    st.none() | st.booleans() | json_ints | json_texts,
-    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(json_texts, inner),
-    max_leaves=40,
-)
-
-ENVELOPE_COMMANDS = [
-    ("kbasis", "--n", "3"),
-    ("kbasis", "--n", "1"),
-    ("kclass", "line", "--n", "3", "--m", "4"),
-    ("kclass", "assoc", "--n", "4", "--su", "2"),
-    ("pair", "--n", "3", "--line", "2"),
-    ("pair", "--n", "2", "--basis", "2"),
-    ("restrict", "--n", "3", "--line", "2", "--target", "2"),
-    ("nc", "reduce", "--n", "1", "--expr", "z1*z0"),
-    ("nc", "degree", "--expr", "z0s*z0s"),
-    ("nc", "degree", "--expr", "z0+z0s"),
-    ("nc", "fuzz", "--n", "1", "--max-len", "3", "--trials", "20", "--seed", "1"),
-    ("nc", "relations", "--n", "1"),
-]
 
 
 class TestWriter:

@@ -25,9 +25,8 @@ __version__ = "0.1.0"
 _PUBLIC = {
     "rings": ("LaurentQ", "NotInvertibleError", "TruncatedPoly", "TruncationMismatchError"),
     "kclasses": ("KClass", "line_class", "restrict"),
-    "pairing": ("PairingVector", "index_pairing", "pairing_matrix", "pairing_vector"),
+    "pairing": ("index_pairing", "pairing_matrix", "pairing_vector"),
     "corep": (
-        "WeightVector",
         "associated_class",
         "fundamental_decomposition",
         "fundamental_weights",

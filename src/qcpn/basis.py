@@ -63,8 +63,8 @@ from itertools import chain
 from operator import index, mul, ne, sub
 from typing import NamedTuple
 
-from .corep import WeightVector, associated_class, fundamental_weights
-from .kclasses import MAX_BASIS_N, line_class
+from .corep import associated_class, fundamental_weights
+from .kclasses import MAX_BASIS_N
 from .rings import TruncatedPoly
 
 Matrix = list[list[int]]
@@ -72,6 +72,20 @@ Matrix = list[list[int]]
 
 class UnimodularityError(ArithmeticError):
     """Raised when a matrix expected to be invertible over Z is not."""
+
+
+def _basis_row(n: int, m: int, lines: dict) -> list[int]:
+    """Coefficients of ``basis_class(n, m)``, unchecked.
+
+    The unit at ``m = 0``, ``line(n, 1) - 1`` at ``m = 1`` (the bundle of the
+    single weight 1), and the rank-``m`` associated class minus ``m`` above.
+    ``lines`` caches line classes as in ``associated_class``.
+    """
+    if m == 0:
+        return [1] + [0] * n
+    row = list(associated_class(n, fundamental_weights(m) if m > 1 else (1,), lines).coeffs)
+    row[0] -= m
+    return row
 
 
 def basis_class(n: int, m: int) -> TruncatedPoly:
@@ -84,11 +98,7 @@ def basis_class(n: int, m: int) -> TruncatedPoly:
         raise ValueError("dimension must be at least 1")
     if not 0 <= m <= n:
         raise ValueError(f"basis index must satisfy 0 <= m <= {n}, got {m}")
-    if m == 0:
-        return TruncatedPoly.one(n)
-    if m == 1:
-        return line_class(n, 1) - 1
-    return associated_class(n, fundamental_weights(m)) - m
+    return TruncatedPoly(n, _basis_row(n, m, {}))
 
 
 def basis_class_closed_form(n: int, m: int) -> TruncatedPoly:
@@ -113,21 +123,13 @@ def basis_class_closed_form(n: int, m: int) -> TruncatedPoly:
 def basis_matrix(n: int) -> Matrix:
     """Rows are the t-coefficients of the candidate basis classes.
 
-    Row ``m`` is ``basis_class(n, m)`` through the same bundle route, but
-    the line classes are built once for the whole matrix and the constant
-    ``m`` is subtracted from the row itself.  ``b_1`` is the bundle of the
-    single weight 1 minus the unit.
+    Every row comes from ``_basis_row``, which ``basis_class`` uses too;
+    the line classes are built once for the whole matrix.
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    rows = [[1] + [0] * n]
     lines = {}  # weight -> line class, shared by every row
-    for m in range(1, n + 1):
-        weights = fundamental_weights(m) if m > 1 else WeightVector((1,))
-        row = list(associated_class(n, weights, lines).coeffs)
-        row[0] -= m
-        rows.append(row)
-    return rows
+    return [_basis_row(n, m, lines) for m in range(n + 1)]
 
 
 def _check_square(matrix) -> list[list[int]]:

@@ -17,8 +17,9 @@ it walks, and reads any iterable as an array, so a certificate's rows
 when the writer reaches them.
 
 The K-class commands (``kclass``, ``pair``, ``restrict``) refuse ``--n``
-above ``MAX_BASIS_N`` and line powers beyond ``MAX_LINE_POWER`` in
-absolute value, which bounds the size of every class they print.
+above ``MAX_BASIS_N``, and line powers beyond ``MAX_LINE_POWER`` in
+absolute value or ranks ``--su`` above it, which bounds the size of every
+class and weight list they print.
 
 Exit codes: 0 success, 1 domain error (diagnostic on stderr), 2 usage
 error (argparse diagnostics).
@@ -128,13 +129,17 @@ def _run_kclass_line(args):
 
 
 def _run_kclass_assoc(args):
+    from collections import Counter
+
     from .corep import associated_class, fundamental_weights
 
     _check_class_budget(args.n)
+    if args.su > MAX_LINE_POWER:  # the bundle holds the line class of power su - 1
+        raise ValueError(f"rank must be at most {MAX_LINE_POWER}, got {args.su}")
     w = fundamental_weights(args.su)
     c = associated_class(args.n, w)
     decomposition = [
-        {"m": weight, "multiplicity": mult} for weight, mult in sorted(w.counts().items())
+        {"m": weight, "multiplicity": mult} for weight, mult in sorted(Counter(w).items())
     ]
     result = {
         "n": args.n,
@@ -150,11 +155,10 @@ def _run_pair(args):
     from .pairing import pairing_vector
 
     c, selector = _selected_class(args)
-    vec = pairing_vector(c)
     result = {
         "n": c.n,
         "class": c.as_dict(),
-        "pairings": [str(v) for v in vec.values],
+        "pairings": [str(v) for v in pairing_vector(c)],
     }
     return {"n": args.n, **selector}, result, None
 

@@ -18,56 +18,34 @@ from itertools import repeat
 from operator import index, mul
 
 from .kclasses import line_class
-from .rings import TruncatedPoly, _Value
+from .rings import TruncatedPoly
 
 
-class WeightVector(_Value):
-    """A nonempty multiset of circle weights, stored sorted; immutable."""
-
-    __slots__ = ("weights",)
-
-    def __init__(self, weights):
-        ws = tuple(sorted(index(w) for w in weights))
-        if not ws:
-            raise ValueError("weight vector must be nonempty")
-        object.__setattr__(self, "weights", ws)
-
-    def total(self) -> int:
-        return sum(self.weights)
-
-    def counts(self) -> Counter:
-        return Counter(self.weights)
-
-    def __len__(self) -> int:
-        return len(self.weights)
-
-    def __iter__(self):
-        return iter(self.weights)
-
-
-def fundamental_weights(m: int) -> WeightVector:
+def fundamental_weights(m: int) -> tuple[int, ...]:
     """Circle weights of the restricted rank-``m`` fundamental corepresentation.
 
-    The diagonal entries map to ``u^-1`` except the last, which maps to
-    ``u^(m-1)`` so that the quantum determinant lands on ``1``.
+    A sorted tuple.  The diagonal entries map to ``u^-1`` except the last,
+    which maps to ``u^(m-1)`` so that the quantum determinant lands on ``1``.
     """
     if m < 2:
         raise ValueError(f"rank must be at least 2, got {m}")
-    return WeightVector((-1,) * (m - 1) + (m - 1,))
+    return (-1,) * (m - 1) + (m - 1,)
 
 
-def satisfies_determinant_condition(w: WeightVector) -> bool:
+def satisfies_determinant_condition(weights) -> bool:
     """Necessary condition for a diagonal Hopf surjection to be well defined.
 
     A diagonal image sends the quantum determinant to ``u`` raised to the
-    total weight, which must be the unit, so the weights must sum to zero.
+    total weight, which must be the unit, so the integer weights must sum
+    to zero.
     """
-    return w.total() == 0
+    return sum(map(index, weights)) == 0
 
 
-def associated_class(n: int, w: WeightVector, lines: dict | None = None) -> TruncatedPoly:
-    """K-class of the vector bundle associated to a weight multiset.
+def associated_class(n: int, weights, lines: dict | None = None) -> TruncatedPoly:
+    """K-class of the vector bundle associated to a multiset of weights.
 
+    ``weights`` is any nonempty iterable of ints, in any order.
     Weightwise cotensor: each weight ``lam`` contributes the line class of
     the degree-``lam`` spectral subspace, and the coefficients are summed
     column by column in one pass.  ``lines`` maps weights to their line
@@ -76,17 +54,20 @@ def associated_class(n: int, w: WeightVector, lines: dict | None = None) -> Trun
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
+    counts = Counter(map(index, weights))
+    if not counts:
+        raise ValueError("weight vector must be nonempty")
     if lines is None:
         lines = {}
     scaled = []
-    for lam, mult in w.counts().items():
+    for lam, mult in counts.items():
         if lam not in lines:
             lines[lam] = line_class(n, lam)
         scaled.append(map(mul, repeat(mult), lines[lam].coeffs))
     return TruncatedPoly._raw(n, tuple(map(sum, zip(*scaled))))
 
 
-def fundamental_decomposition(n: int, m: int) -> WeightVector:
+def fundamental_decomposition(n: int, m: int) -> tuple[int, ...]:
     """Line-bundle labels of the associated fundamental bundle.
 
     The rank-``m`` fundamental bundle over the dimension-``n`` space splits

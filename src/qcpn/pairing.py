@@ -9,7 +9,7 @@ Chern number.
 
 from __future__ import annotations
 
-from .rings import TruncatedPoly, _Value
+from .rings import TruncatedPoly
 
 
 def index_pairing(k: int, c: TruncatedPoly) -> int:
@@ -24,20 +24,9 @@ def index_pairing(k: int, c: TruncatedPoly) -> int:
     return -coeff if k % 2 else coeff
 
 
-class PairingVector(_Value):
-    """All ``n + 1`` pairings of one class, ordered by generator index; immutable."""
-
-    __slots__ = ("n", "values")
-
-    def __init__(self, n: int, values: tuple[int, ...]):
-        if len(values) != n + 1:
-            raise ValueError("pairing vector must have length n + 1")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "values", values)
-
-
-def pairing_vector(c: TruncatedPoly) -> PairingVector:
-    return PairingVector(c.n, tuple(index_pairing(k, c) for k in range(c.n + 1)))
+def pairing_vector(c: TruncatedPoly) -> tuple[int, ...]:
+    """All ``n + 1`` pairings of ``c``, ordered by generator index."""
+    return tuple(index_pairing(k, c) for k in range(c.n + 1))
 
 
 def pairing_matrix(classes) -> list[list[int]]:

@@ -9,14 +9,12 @@ Two scalar domains, both with arbitrary-precision integer coefficients:
 * ``TruncatedPoly`` -- the commutative ring ``Z[t] / t^(n+1)``.  Elements
   carry their truncation order ``n`` and never mix different orders.
 
-Both, and ``sphere.NCPoly``, derive their operators from ``_Ring``, the one
-place that decides how an ``int`` meets an element and how ``-``, truth
-and ``**`` follow from ``+``, unary ``-`` and ``*``; one pair of helpers
-writes an element as a signed sum of monomials.  ``_Value``, the base of
-``_Ring`` and of the records ``corep.WeightVector`` and
-``pairing.PairingVector``, owns what makes them values: their fields are
-their ``__slots__``, filled once, compared by ``==`` and rebuilt by
-``pickle`` and ``copy``.
+Both, and ``sphere.NCPoly``, derive from ``_Ring``, the one place that
+decides how an ``int`` meets an element and how ``-``, truth and ``**``
+follow from ``+``, unary ``-`` and ``*``, and what makes an element a
+value: its fields are its ``__slots__``, filled once, compared by ``==``
+and rebuilt by ``pickle`` and ``copy``.  One pair of helpers writes an
+element as a signed sum of monomials.
 
 A Laurent polynomial is stored as an exponent map ``{e: c}`` with no zero
 coefficient.  ``_qadd`` and ``_qmul`` are the sum and product of such
@@ -112,19 +110,26 @@ def _qmul(a: dict, b: dict) -> dict:
     return prod
 
 
-class _Value:
-    """An immutable value whose fields are its class's ``__slots__``.
+class _Ring:
+    """An immutable exact ring element whose fields are its class's ``__slots__``.
 
     ``_raw`` fills the fields unchecked and uncopied, and any assignment
-    or deletion raises.  ``==`` compares the fields, after coercing a
-    foreign operand through ``_constant``; that finds none by default, so
-    a value equals only values of its own class.  ``__reduce__`` rebuilds
-    a value through ``_raw``, which makes ``pickle``, ``copy`` and
-    ``deepcopy`` work.  The structural ``__hash__`` and ``__repr__`` serve
-    records; the rings replace both.
+    or deletion raises.  ``__reduce__`` rebuilds an element through
+    ``_raw``, which makes ``pickle``, ``copy`` and ``deepcopy`` work.
+    ``==`` compares the fields, after coercing a foreign operand through
+    ``_constant``.
+
+    A subclass supplies ``_constant(c)`` (the constant element ``c`` of
+    this element's ring, or None when ``c`` is not a constant it knows),
+    ``is_zero``, ``__add__``, ``__neg__``, ``__mul__``, ``__hash__`` and
+    ``__repr__``.  Elements that carry an order ``n`` set ``_mismatch`` to
+    the error type and wording raised when two orders meet in arithmetic;
+    ``==`` across orders is plain ``False``.  ``_negative_power`` is the
+    error type and message of ``x ** -k``.
     """
 
     __slots__ = ()
+    _mismatch = None
 
     @classmethod
     def _raw(cls, *fields):
@@ -145,39 +150,12 @@ class _Value:
     def __reduce__(self):
         return self._raw, self._fields()
 
-    def _constant(self, c):
-        """The value ``c`` stands for in this value's class, or None."""
-        return None
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, type(self)):
             other = self._constant(other)
             if other is None:
                 return NotImplemented
         return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-
-class _Ring(_Value):
-    """Operators that every exact ring element here derives the same way.
-
-    A subclass supplies ``_constant(c)`` (the constant element ``c`` of
-    this element's ring, or None when ``c`` is not a constant it knows),
-    ``is_zero``, ``__add__``, ``__neg__``, ``__mul__``, ``__hash__`` and
-    ``__repr__``; ``_Value`` compares its fields.  Elements that carry an
-    order ``n`` set ``_mismatch`` to the error type and wording raised when
-    two orders meet in arithmetic; ``==`` across orders is plain ``False``.
-    ``_negative_power`` is the error type and message of ``x ** -k``.
-    """
-
-    __slots__ = ()
-    _mismatch = None
 
     def _coerce(self, other):
         """``other`` in this element's ring, or None for a foreign type."""

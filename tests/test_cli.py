@@ -215,6 +215,27 @@ class TestClassBudgets:
     def test_budget_limits_accepted(self, capsys, argv):
         invoke_json(capsys, *argv)
 
+    def test_rank_refused_before_any_weight(self, capsys, monkeypatch):
+        import qcpn.corep
+
+        def refuse_work(m):
+            raise AssertionError("weights were built")
+
+        monkeypatch.setattr(qcpn.corep, "fundamental_weights", refuse_work)
+        message = "error: rank must be at most 1000000, got 1000001\n"
+        assert invoke(capsys, "kclass", "assoc", "--n", "3", "--su", "1000001") == (1, "", message)
+
+    def test_rank_limits(self, capsys, monkeypatch):
+        import qcpn.cli
+
+        monkeypatch.setattr(qcpn.cli, "MAX_LINE_POWER", 7)
+        env = invoke_json(capsys, "kclass", "assoc", "--n", "3", "--su", "7")
+        assert env["result"]["weights"] == [-1] * 6 + [6]
+        message = "error: rank must be at most 7, got 8\n"
+        assert invoke(capsys, "kclass", "assoc", "--n", "3", "--su", "8") == (1, "", message)
+        message = "error: rank must be at least 2, got 1\n"
+        assert invoke(capsys, "kclass", "assoc", "--n", "3", "--su", "1") == (1, "", message)
+
 
 class TestNC:
     def test_reduce_frozen_example(self, capsys):

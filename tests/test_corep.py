@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qcpn.corep import (
-    WeightVector,
     associated_class,
     fundamental_decomposition,
     fundamental_weights,
@@ -14,29 +13,11 @@ from qcpn.kclasses import KClass, line_class
 from qcpn.pairing import index_pairing
 
 
-class TestWeightVector:
-    def test_sorted_and_nonempty(self):
-        w = WeightVector((3, -1, -1))
-        assert w.weights == (-1, -1, 3)
-        with pytest.raises(ValueError):
-            WeightVector(())
-
-    def test_counts_and_union(self):
-        w = WeightVector((-1, -1, 2))
-        assert w.counts() == {-1: 2, 2: 1}
-        u = WeightVector(w.weights + (5,))
-        assert u.weights == (-1, -1, 2, 5)
-
-    def test_len_and_iter(self):
-        w = WeightVector((0, 1))
-        assert len(w) == 2 and list(w) == [0, 1]
-
-
 class TestFundamentalWeights:
     def test_frozen_examples(self):
-        assert fundamental_weights(2).weights == (-1, 1)
-        assert fundamental_weights(3).weights == (-1, -1, 2)
-        assert fundamental_weights(5).weights == (-1, -1, -1, -1, 4)
+        assert fundamental_weights(2) == (-1, 1)
+        assert fundamental_weights(3) == (-1, -1, 2)
+        assert fundamental_weights(5) == (-1, -1, -1, -1, 4)
 
     def test_rank_too_small(self):
         for m in (1, 0, -3):
@@ -50,9 +31,11 @@ class TestFundamentalWeights:
 
 class TestDeterminantCondition:
     def test_plain_cases(self):
-        assert satisfies_determinant_condition(WeightVector((-1, 1)))
-        assert not satisfies_determinant_condition(WeightVector((1, 1)))
-        assert satisfies_determinant_condition(WeightVector((0,)))
+        assert satisfies_determinant_condition((-1, 1))
+        assert not satisfies_determinant_condition([1, 1])
+        assert satisfies_determinant_condition(iter((0,)))
+        with pytest.raises(TypeError):
+            satisfies_determinant_condition((0.5, -0.5))
 
 
 class TestAssociatedClass:
@@ -65,10 +48,10 @@ class TestAssociatedClass:
         assert c.coeffs == (3, 0, 3, 2)
 
     def test_trivial_weight(self):
-        assert associated_class(3, WeightVector((0,))) == KClass.one(3)
+        assert associated_class(3, (0,)) == KClass.one(3)
 
     def test_matches_sum_of_line_classes(self):
-        w = WeightVector((-2, 0, 3, 3))
+        w = (3, -2, 3, 0)
         expected = (
             line_class(4, -2) + line_class(4, 0) + 2 * line_class(4, 3)
         )
@@ -94,20 +77,22 @@ class TestAssociatedClass:
         st.lists(st.integers(-4, 4), min_size=1, max_size=4),
     )
     def test_additive_in_the_weights(self, n, ws1, ws2):
-        a, b = WeightVector(ws1), WeightVector(ws2)
-        assert associated_class(n, WeightVector(a.weights + b.weights)) == associated_class(
-            n, a
-        ) + associated_class(n, b)
+        assert associated_class(n, ws1 + ws2) == associated_class(n, ws1) + associated_class(n, ws2)
 
     def test_dimension_range(self):
         with pytest.raises(ValueError):
-            associated_class(0, WeightVector((1,)))
+            associated_class(0, (1,))
+
+    def test_empty_weights_refused(self):
+        for empty in ((), [], iter(())):
+            with pytest.raises(ValueError, match="^weight vector must be nonempty$"):
+                associated_class(3, empty)
 
 
 class TestFundamentalDecomposition:
     def test_matches_weights(self):
-        assert fundamental_decomposition(2, 2).weights == (-1, 1)
-        assert fundamental_decomposition(5, 3).weights == (-1, -1, 2)
+        assert fundamental_decomposition(2, 2) == (-1, 1)
+        assert fundamental_decomposition(5, 3) == (-1, -1, 2)
 
     def test_range_enforced(self):
         with pytest.raises(ValueError):

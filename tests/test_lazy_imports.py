@@ -19,9 +19,7 @@ import pytest
 
 import qcpn
 from qcpn.basis import BasisCertificate
-from qcpn.corep import WeightVector
 from qcpn.kclasses import line_class
-from qcpn.pairing import PairingVector
 from qcpn.rings import LaurentQ, TruncatedPoly
 from qcpn.sphere import NCPoly, ReductionReport
 
@@ -105,9 +103,9 @@ def test_public_surface_is_pinned():
     # adding or dropping a public name must edit this list on purpose
     assert sorted(qcpn.__all__) == [
         "ALL_RULES", "BasisCertificate", "Generator", "KClass", "LaurentQ", "NCPoly",
-        "NCSyntaxError", "NotInvertibleError", "PairingVector", "ReductionReport",
+        "NCSyntaxError", "NotInvertibleError", "ReductionReport",
         "StepBudgetExceeded", "TruncatedPoly", "TruncationMismatchError", "UnimodularityError",
-        "WeightVector", "__version__", "associated_class", "basis_class",
+        "__version__", "associated_class", "basis_class",
         "basis_class_closed_form", "basis_matrix", "certify_basis", "defining_relations",
         "exhaustive_pair_check", "fundamental_decomposition", "fundamental_weights",
         "fuzz_confluence", "index_pairing", "line_class", "nesting_check", "normal_form",
@@ -120,18 +118,6 @@ def test_public_surface_is_pinned():
 @pytest.mark.parametrize(
     "make, field, other, text",
     [
-        (
-            lambda: WeightVector((2, -1)),
-            "weights",
-            WeightVector((2,)),
-            "WeightVector(weights=(-1, 2))",
-        ),
-        (
-            lambda: PairingVector(n=1, values=(1, 2)),
-            "values",
-            PairingVector(1, (1, 3)),
-            "PairingVector(n=1, values=(1, 2))",
-        ),
         (
             lambda: BasisCertificate(n=0, matrix=((1,),), det=1, inverse=((1,),)),
             "det",
@@ -159,7 +145,7 @@ def test_frozen_records(make, field, other, text):
 
 @pytest.mark.parametrize(
     "value",
-    [LaurentQ({1: 2}), line_class(3, 2), NCPoly.gen(1, 0), WeightVector((2, -1)), PairingVector(1, (1, 2))],
+    [LaurentQ({1: 2}), line_class(3, 2), NCPoly.gen(1, 0)],
 )
 def test_values_copy_and_refuse_every_assignment(value):
     assert copy.copy(value) == value
@@ -170,7 +156,7 @@ def test_values_copy_and_refuse_every_assignment(value):
 
 @pytest.mark.parametrize(
     "value",
-    [LaurentQ({1: 2}), line_class(3, 2), NCPoly.gen(1, 0), WeightVector((2, -1)), PairingVector(1, (1, 2))],
+    [LaurentQ({1: 2}), line_class(3, 2), NCPoly.gen(1, 0)],
 )
 def test_values_refuse_every_deletion(value):
     text = repr(value)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qcpn.kclasses import KClass, line_class
-from qcpn.pairing import PairingVector, index_pairing, pairing_matrix, pairing_vector
+from qcpn.pairing import index_pairing, pairing_matrix, pairing_vector
 from qcpn.rings import TruncatedPoly
 
 
@@ -72,22 +72,18 @@ class TestIndexPairing:
 
 class TestPairingVector:
     def test_unit_class(self):
-        assert pairing_vector(KClass.one(3)).values == (1, 0, 0, 0)
+        assert pairing_vector(KClass.one(3)) == (1, 0, 0, 0)
 
     def test_tautological(self):
-        assert pairing_vector(line_class(2, -1)).values == (1, -1, 1)
+        assert pairing_vector(line_class(2, -1)) == (1, -1, 1)
 
     def test_t_squared(self):
-        assert pairing_vector(t_power(2, 2)).values == (0, 0, 1)
+        assert pairing_vector(t_power(2, 2)) == (0, 0, 1)
 
     def test_accessors(self):
         v = pairing_vector(line_class(3, 5))
-        assert v.values[0] == 1
-        assert v.values[1] == 5
-
-    def test_length_invariant(self):
-        with pytest.raises(ValueError):
-            PairingVector(2, (1, 0))
+        assert v[0] == 1
+        assert v[1] == 5
 
 
 class TestPairingMatrix:
@@ -104,7 +100,7 @@ class TestPairingMatrix:
         classes = [line_class(3, m) for m in (-2, 0, 1, 4)]
         m = pairing_matrix(classes)
         for j, c in enumerate(classes):
-            assert tuple(m[k][j] for k in range(4)) == pairing_vector(c).values
+            assert tuple(m[k][j] for k in range(4)) == pairing_vector(c)
 
     def test_dimension_mismatches_rejected(self):
         with pytest.raises(ValueError):

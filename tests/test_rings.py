@@ -5,7 +5,7 @@ import operator
 import pytest
 from hypothesis import given, strategies as st
 
-from qcpn.corep import WeightVector
+from qcpn.corep import associated_class
 from qcpn.kclasses import line_class
 from qcpn.rings import (
     LaurentQ,
@@ -288,7 +288,7 @@ def test_constructors_reject_non_integers():
         lambda: LaurentQ({0: 0.0}),
         lambda: TruncatedPoly(2, [1.7, 2]),
         lambda: NCPoly(1, {(0.0,): 1}),
-        lambda: WeightVector((1.5,)),
+        lambda: associated_class(1, (1.5,)),
     ):
         with pytest.raises(TypeError):
             make()

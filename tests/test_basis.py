@@ -24,7 +24,7 @@ from qcpn.basis import (
     nesting_check,
     unimodular_inverse,
 )
-from qcpn.kclasses import KClass, line_class
+from qcpn.kclasses import MAX_BASIS_N, KClass, line_class
 from qcpn.rings import TruncatedPoly
 
 
@@ -286,6 +286,22 @@ class TestCertificates:
                 bad = with_inverse(cert, inv)
                 assert not is_identity_product(bad.matrix, bad.inverse)
                 assert not bad.verify(), (n, i, j, delta)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_verify_rejects_every_inverse_entry_off_by_one(self, n):
+        # M is invertible, so any change to N breaks M N = I
+        cert = certify_basis(n)
+        for i in range(n + 1):
+            for j in range(n + 1):
+                for delta in (1, -1):
+                    inv = [list(row) for row in cert.inverse]
+                    inv[i][j] += delta
+                    assert not with_inverse(cert, inv).verify(), (n, i, j, delta)
+
+    def test_verify_accepts_top_of_range(self):
+        # the widest slots: n = MAX_BASIS_N
+        cert = certify_basis(MAX_BASIS_N)
+        assert cert.n == 400 and cert.verify()
 
     @pytest.mark.parametrize("n", [1, 2, 4, 9, 30])
     def test_verify_rejects_cancelling_carry(self, n):

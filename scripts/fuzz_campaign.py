@@ -43,6 +43,8 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
         parser.error("need 1 <= min-n <= max-n")
     if args.trials < 1 or args.max_len < 2:
         parser.error("need positive --trials and --max-len >= 2")
+    if args.step_cap is not None and args.step_cap < 1:
+        parser.error("need --step-cap >= 1")
     return args
 
 

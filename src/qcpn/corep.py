@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import repeat
-from operator import index, mul
+from operator import add, index, mul
 
 from .kclasses import line_class
 from .rings import TruncatedPoly
@@ -47,10 +47,10 @@ def associated_class(n: int, weights, lines: dict | None = None) -> TruncatedPol
 
     ``weights`` is any nonempty iterable of ints, in any order.
     Weightwise cotensor: each weight ``lam`` contributes the line class of
-    the degree-``lam`` spectral subspace, and the coefficients are summed
-    column by column in one pass.  ``lines`` maps weights to their line
-    classes of order ``n``; the classes it lacks are built and added, so
-    callers that pass one dict build each line class once.
+    the degree-``lam`` spectral subspace, and the scaled line rows are
+    summed as whole rows, one per distinct weight.  ``lines`` maps weights
+    to their line classes of order ``n``; the classes it lacks are built
+    and added, so callers that pass one dict build each line class once.
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
@@ -59,12 +59,15 @@ def associated_class(n: int, weights, lines: dict | None = None) -> TruncatedPol
         raise ValueError("weight vector must be nonempty")
     if lines is None:
         lines = {}
-    scaled = []
+    total = None
     for lam, mult in counts.items():
         if lam not in lines:
             lines[lam] = line_class(n, lam)
-        scaled.append(map(mul, repeat(mult), lines[lam].coeffs))
-    return TruncatedPoly._raw(n, tuple(map(sum, zip(*scaled))))
+        row = lines[lam].coeffs
+        scaled = row if mult == 1 else map(mul, repeat(mult), row)
+        # a list after every weight, so no chain of lazy maps grows with the weights
+        total = list(scaled if total is None else map(add, total, scaled))
+    return TruncatedPoly._raw(n, tuple(total))
 
 
 def fundamental_decomposition(n: int, m: int) -> tuple[int, ...]:

@@ -79,6 +79,12 @@ class TestAssociatedClass:
     def test_additive_in_the_weights(self, n, ws1, ws2):
         assert associated_class(n, ws1 + ws2) == associated_class(n, ws1) + associated_class(n, ws2)
 
+    def test_many_distinct_weights(self):
+        # one running total per weight: 3000 weights must not nest 3000 lazy maps
+        weights = range(-1500, 1500)
+        expected = sum((line_class(3, lam) for lam in weights), KClass.zero(3))
+        assert associated_class(3, weights) == expected
+
     def test_dimension_range(self):
         with pytest.raises(ValueError):
             associated_class(0, (1,))

@@ -100,3 +100,10 @@ class TestFuzzCampaign:
             fuzz_campaign.parse_args(["--max-len", max_len])
         assert exc.value.code == 2
         assert "--max-len >= 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_step_cap_below_one_is_a_usage_error(self, fuzz_campaign, capsys, cap):
+        with pytest.raises(SystemExit) as exc:
+            fuzz_campaign.parse_args(["--step-cap", cap])
+        assert exc.value.code == 2
+        assert "--step-cap >= 1" in capsys.readouterr().err

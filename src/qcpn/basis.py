@@ -5,16 +5,20 @@ class, the dual-tautological class minus the unit, and for each rank
 ``2 <= m <= n`` the associated fundamental bundle class minus ``m`` trivial
 summands; row ``j`` of the basis matrix ``M`` holds the t-coefficients of
 the ``j``-th.  Certification writes down an integer inverse ``N`` in closed
-form, multiplies back to the identity exactly, and takes ``det N``; the
-exact product proves the candidates a Z-basis and ``det M = det N = +-1``.
+form, takes ``det N``, and checks ``M`` and ``N`` entry by entry against
+their closed forms, each rebuilt by a second, independent route; the
+closed forms are proved inverse below, so the check proves the candidates
+a Z-basis and ``det M = det N = +-1``.
 
 Writing ``u = 1 - t``, the candidates are ``b_0 = 1``, ``b_1 = u - 1`` and
 ``b_m = (m-1)(u^-1 - 1) + u^(m-1) - 1``, so row ``j`` of ``N`` holds the
 coordinates of ``t^j``: ``t^0 = b_0`` and ``t = -b_1``.  For ``2 <= j < n``
-the sum ``sum_i (-1)^i C(j, i) b_(i+1)`` cancels the ``(m-1)`` multiples
-and the constants and leaves ``(1 - u)^j = t^j``; for ``j = n``, where
-``b_(n+1)`` is missing, ``sum_k (-1)^k C(n, k) b_k`` gives ``t^n u^-1 = t^n``.
-Tests check this against ``unimodular_inverse``, a fraction-free Gauss-Jordan.
+the sum ``sum_(1<=i<=j) (-1)^i C(j, i) b_(i+1)`` cancels the ``(m-1)``
+multiples and the constants and leaves ``(1 - u)^j = t^j``; for ``j = n``,
+where ``b_(n+1)`` is missing, ``sum_(2<=k<=n) (-1)^k C(n, k) b_k`` gives
+``t^n u^-1 = t^n``.  So ``N M = I``, and for square integer matrices
+``M N = I`` too.  Tests check this against ``unimodular_inverse``, a
+fraction-free Gauss-Jordan.
 
 The determinant has a closed form.  For ``n = 1``, ``M = diag(1, -1)``.  For
 ``n >= 2``, subtracting ``(m-1) b_2`` from ``b_m`` for ``m >= 3`` leaves
@@ -24,61 +28,28 @@ to the last row, a cycle of ``n-1`` rows, then leaves ``M`` lower triangular,
 so ``det M = -(-1)^(n-2) prod_(m=3..n) (-1)^(m-1) = (-1)^(n(n+1)/2)``, and
 ``det N = det M`` because ``M N = I``.  ``verify`` requires exactly this sign.
 
-The back-multiplication packs row ``k`` of ``N`` into one integer
-``R_k = sum_j N[k][j] 2^(j w)``.  Row ``i`` of ``P = M N`` then packs to
-``sum_k M[i][k] R_k = sum_j P[i][j] 2^(j w)``, which must be ``2^(i w)``.
-The slot width ``w`` is chosen with ``2^(w-1) > max(1, size max|M| max|N|)``,
-so every entry of ``P`` and of the identity lies in ``(-2^(w-1), 2^(w-1))``.
-An integer has at most one expansion ``sum_j d_j 2^(j w)`` with digits in
-that range: two of them differ digitwise by less than ``2^w`` in absolute
-value, and at the lowest differing digit ``j`` the difference is
-``d 2^(j w)`` modulo ``2^((j+1) w)`` with ``0 < |d| < 2^w``, which is not
-zero.  So the packed rows equal ``2^(i w)`` exactly when ``P`` is the
-identity; the check is a proof, not a sample.
-
-Each ``R_k`` is packed in time linear in its bit length.  An entry ``x``
-of ``N`` has ``|x| <= max|N| < 2^(w-1)`` (``M[0][0] = 1``), so it fits a
-signed slot of ``w`` bits as ``x mod 2^w``, whose top bit is set exactly
-when ``x < 0``.  The slots are joined as bytes and ``int.from_bytes`` reads
-them as one unsigned integer ``U = sum_j (x_j mod 2^w) 2^(j w)``, in which
-no slot carries into the next.  A negative slot reads ``2^w`` too high, so
-with ``L = sum_j 2^(j w)`` one correction per row,
-``R_k = U - (((U >> (w-1)) & L) << w)``, subtracts ``2^w`` at exactly those
-slots.  So ``w`` is rounded up to whole bytes.  A wider slot still
-satisfies the inequality above, and the argument uses nothing else about
-``w``, so the uniqueness proof holds unchanged.
-
-``BasisCertificate.verify`` forms these sums through the rows of ``M``.  It
-first compares the stored ``M`` row by row with its closed form
-(``basis_class_closed_form``): ``e_0``, ``-e_1`` and ``(m-1) r + s_(m-1)``,
-where ``r = (0, 1, ..., 1)`` holds the coefficients of ``u^-1 - 1`` and
-``s_j`` those of ``u^j - 1``, a signed Pascal row built by subtraction
-from the row before it.  So a certificate whose matrix is not the
-basis matrix fails, even when ``M N = I``.  The packed rows of ``P`` are
-then ``R_0``, ``-R_1`` and ``(m-1) T + F_(m-1) - R_0`` for ``2 <= m <= n``,
-where ``T = sum_(k>=1) R_k`` and ``F_j = sum_k (-1)^k C(j, k) R_k``.  With
-``X = 2^w`` they must equal ``1``, ``X`` and ``X^m``.  Given ``R_0 = 1`` and
-``R_1 = -X``, the row ``m = 2`` reads ``T = X^2 - X``, and the rows ``m >= 3``
-then fix ``F_j = X^(j+1) + 1 - j (X^2 - X) - X [j = 0]`` for ``j < n``; the
-term ``[j = 0]`` makes the formula hold at ``j = 0`` and ``1`` too.  The map
-from ``R`` to ``F`` is its own inverse over Z, ``R_k = sum_j (-1)^j C(k, j)
-F_j``, and with ``sum_j (-1)^j C(k, j) X^(j+1) = X (1 - X)^k``, ``sum_j (-1)^j
-C(k, j) = [k = 0]`` and ``sum_j (-1)^j j C(k, j) = -[k = 1]`` this gives
-``R_k = X ((1 - X)^k - 1)`` for ``2 <= k < n``.  So for ``n >= 2`` the
-identity holds exactly when ``R_0 = 1``, ``R_1 = -X``, these ``R_k`` hold and
-``T = X^2 - X``; for ``n = 1`` the first two suffice.  A running power of
-``1 - X`` checks each ``R_k`` in a few big-integer operations, so after
-packing the check takes ``O(n)`` of them.
+``BasisCertificate.verify`` holds each stored row to its closed form.  Row
+``m`` of ``M`` is ``e_0``, ``-e_1`` or ``(m-1) r + s_(m-1)``, where
+``r = (0, 1, ..., 1)`` holds the coefficients of ``u^-1 - 1`` and ``s_j``
+those of ``u^j - 1``, a signed Pascal row built by subtraction from the row
+before it.  Row ``j`` of ``N`` is ``e_0``, ``-e_1``, the coefficients
+``(-1)^i C(j, i)``, ``i >= 1``, of ``line_class(j, j)`` from column 2 on,
+or for ``j = n`` those with ``i >= 2``.  ``basis_matrix`` builds ``M``
+through ``line_class``, whose recurrence is multiplicative, and
+``basis_inverse`` builds ``N`` from Pascal's additive rule, so each
+comparison pairs the two routes and an error in either one fails it.
+The entries are compared as they are read, so a hostile certificate costs
+no more memory than its rows already take.
 """
 
 from __future__ import annotations
 
 from itertools import chain, islice, repeat
-from operator import add, index, mul, ne, sub
+from operator import add, eq, index, mul, sub
 from typing import NamedTuple
 
 from .corep import associated_class, fundamental_weights
-from .kclasses import MAX_BASIS_N
+from .kclasses import MAX_BASIS_N, line_class
 from .rings import TruncatedPoly
 
 Matrix = list[list[int]]
@@ -237,8 +208,8 @@ def basis_inverse(n: int) -> Matrix:
     the module docstring): ``1`` and ``-1`` on rows 0 and 1, the signed
     binomials ``(-1)^(k-1) C(j, k-1)`` in columns ``2..j+1`` of row
     ``2 <= j < n``, and ``(-1)^k C(n, k)`` in columns ``2..n`` of row ``n``.
-    The result is lower Hessenberg.  Only ``BasisCertificate.verify``
-    proves it is the inverse.
+    The result is lower Hessenberg.  ``BasisCertificate.verify`` checks it
+    entry by entry against ``_inverse_rows``.
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
@@ -247,6 +218,21 @@ def basis_inverse(n: int) -> Matrix:
     for j, signed in enumerate(islice(_signed_pascal_rows(), 2, n + 1), 2):
         inv[j][2:] = signed[1:] + [0] * (n - j - 1) if j < n else signed[2:]
     return inv
+
+
+def _inverse_rows(n: int):
+    """Yield the rows of ``basis_inverse(n)`` as lazy iterators, from ``line_class``.
+
+    ``line_class`` builds its signed binomials multiplicatively, while
+    ``basis_inverse`` uses Pascal's additive rule, so comparing the two is a
+    check.
+    """
+    yield chain((1,), repeat(0, n))
+    yield chain((0, -1), repeat(0, n - 1))
+    for j in range(2, n):
+        yield chain((0, 0), line_class(j, j).coeffs[1:], repeat(0, n - 1 - j))
+    if n > 1:
+        yield chain((0, 0), line_class(n, n).coeffs[2:])
 
 
 class BasisCertificate(NamedTuple):
@@ -258,31 +244,18 @@ class BasisCertificate(NamedTuple):
     inverse: tuple[tuple[int, ...], ...]
 
     def verify(self) -> bool:
-        """Prove ``M N = I`` and the sign of ``det`` for the basis matrix (module docstring)."""
-        n, shape = self.n, {len(self.inverse), *map(len, self.inverse)}
-        if n < 1 or shape != {n + 1} or self.det != (-1) ** (n * (n + 1) // 2):
+        """Hold ``M``, ``N`` and ``det`` to their closed forms (module docstring).
+
+        Every entry and ``det`` pass through ``operator.index``, so a
+        non-integer raises ``TypeError``; no row is copied.
+        """
+        n = self.n
+        if n < 1 or index(self.det) != (-1) ** (n * (n + 1) // 2):
             return False
-        closed = _closed_form_rows(n)
-        if len(self.matrix) != n + 1 or any(map(ne, map(tuple, self.matrix), closed)):
-            return False
-        top = [max(map(abs, chain(*m))) for m in (self.matrix, self.inverse)]
-        slot = (max(1, (n + 1) * top[0] * top[1]).bit_length() + 8) // 8  # bytes
-        w = 8 * slot
-        ones = int.from_bytes((1).to_bytes(slot, "little") * (n + 1), "little")  # L
-        rows = []
-        for row in self.inverse:
-            packed = b"".join([x.to_bytes(slot, "little", signed=True) for x in row])
-            u = int.from_bytes(packed, "little")
-            rows.append(u - (((u >> (w - 1)) & ones) << w))
-        base = 1 << w  # X
-        if rows[0] != 1 or rows[1] != -base:
-            return False
-        power = base - (base << w)  # X (1 - X)^k, here at k = 1
-        for k in range(2, n):
-            power -= power << w
-            if rows[k] + base != power:
-                return False
-        return n == 1 or sum(rows[1:]) == (base << w) - base
+        rows = chain(zip(self.matrix, _closed_form_rows(n)), zip(self.inverse, _inverse_rows(n)))
+        return len(self.matrix) == len(self.inverse) == n + 1 and all(
+            len(row) == n + 1 and all(map(eq, map(index, row), ref)) for row, ref in rows
+        )
 
     def coordinates_of(self, c: TruncatedPoly) -> tuple[int, ...]:
         """Coordinates of ``c`` in the certified basis (row vector times inverse)."""
@@ -309,13 +282,14 @@ def certify_basis(n: int) -> BasisCertificate:
 
     The inverse is the closed form of ``basis_inverse`` and the determinant
     is ``det_hessenberg`` of that inverse; neither is trusted.  The
-    certificate is kept only if the matrix times the inverse is exactly the
-    identity and the determinant is its closed form ``(-1)^(n(n+1)/2)``.
-    A failed back-multiplication raises ``ArithmeticError``; it is not
-    reachable for valid ``n``.  The work grows about as ``n^3``: ``n = 400``
-    takes about 0.15 s in-process, of which the matrix takes 0.04 s,
-    ``det_hessenberg`` 0.011 s and ``verify`` 0.075 s (best of seven on a
-    shared 2-vCPU Xeon VM, Python 3.11.7).
+    certificate is kept only if ``verify`` finds the matrix and the inverse
+    equal to their closed forms, which are proved inverse, and the
+    determinant equal to ``(-1)^(n(n+1)/2)``.  A failed check raises
+    ``ArithmeticError``; it is not reachable for valid ``n``.  The work
+    grows about as ``n^3``: ``n = 400`` takes about 0.13 s in-process, of
+    which the matrix takes 0.045 s, ``det_hessenberg`` 0.013 s and
+    ``verify`` 0.046 s (best of seven, three rounds, on a shared 2-vCPU
+    Intel Xeon VM, Python 3.11.7).
     ``n`` above ``MAX_BASIS_N`` raises ``ValueError``.
     """
     if n > MAX_BASIS_N:

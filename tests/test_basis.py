@@ -6,6 +6,7 @@ arithmetic, any size).
 """
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -289,14 +290,45 @@ class TestCertificates:
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_verify_rejects_every_inverse_entry_off_by_one(self, n):
-        # M is invertible, so any change to N breaks M N = I
+        # M is invertible, so any change to N breaks M N = I; and any change
+        # to M leaves a matrix that is not the basis matrix
         cert = certify_basis(n)
-        for i in range(n + 1):
-            for j in range(n + 1):
-                for delta in (1, -1):
-                    inv = [list(row) for row in cert.inverse]
-                    inv[i][j] += delta
-                    assert not with_inverse(cert, inv).verify(), (n, i, j, delta)
+        for field in ("inverse", "matrix"):
+            for i in range(n + 1):
+                for j in range(n + 1):
+                    for delta in (1, -1):
+                        rows = [list(row) for row in getattr(cert, field)]
+                        rows[i][j] += delta
+                        bad = cert._replace(**{field: tuple(map(tuple, rows))})
+                        assert not bad.verify(), (n, field, i, j, delta)
+
+    @pytest.mark.parametrize("kind", [float, Fraction])
+    @pytest.mark.parametrize("field", ["det", "matrix", "inverse"])
+    def test_verify_refuses_non_integers(self, field, kind):
+        # each replacement equals the int it replaces, so only its type is wrong
+        cert = certify_basis(3)
+        if field == "det":
+            bad = cert._replace(det=kind(cert.det))
+        else:
+            rows = [list(row) for row in getattr(cert, field)]
+            rows[2][3] = kind(rows[2][3])
+            bad = cert._replace(**{field: tuple(map(tuple, rows))})
+        with pytest.raises(TypeError):
+            bad.verify()
+
+    def test_verify_memory_stays_small_on_a_huge_entry(self):
+        # a 100 kB entry is compared where it lies; no row is widened to its size
+        cert = certify_basis(32)
+        inv = [list(row) for row in cert.inverse]
+        inv[32][32] = 1 << 800000
+        bad = with_inverse(cert, inv)
+        tracemalloc.start()
+        try:
+            assert not bad.verify()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
 
     def test_verify_accepts_top_of_range(self):
         # the widest slots: n = MAX_BASIS_N

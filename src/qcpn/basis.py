@@ -252,9 +252,9 @@ class BasisCertificate(NamedTuple):
         n = self.n
         if n < 1 or index(self.det) != (-1) ** (n * (n + 1) // 2):
             return False
-        rows = chain(zip(self.matrix, _closed_form_rows(n)), zip(self.inverse, _inverse_rows(n)))
+        pairs = chain(zip(self.matrix, _closed_form_rows(n)), zip(self.inverse, _inverse_rows(n)))
         return len(self.matrix) == len(self.inverse) == n + 1 and all(
-            len(row) == n + 1 and all(map(eq, map(index, row), ref)) for row, ref in rows
+            len(row) == n + 1 and all(map(eq, map(index, row), ref)) for row, ref in pairs
         )
 
     def coordinates_of(self, c: TruncatedPoly) -> tuple[int, ...]:

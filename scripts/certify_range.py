@@ -2,8 +2,8 @@
 """Certify the integral basis for a range of quantum projective spaces.
 
 For each n in the range this builds the (n+1) x (n+1) integer matrix of
-basis-class coefficients and its closed-form integer inverse, re-multiplies
-to confirm the product is the identity, and takes the exact determinant.
+basis-class coefficients and its closed-form integer inverse, checks both
+entry by entry against their closed forms, and takes the exact determinant.
 It also checks that each matrix is the leading block of the next one in
 the range.  A nonzero exit code means at least one space failed.
 

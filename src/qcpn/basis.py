@@ -298,7 +298,7 @@ def certify_basis(n: int) -> BasisCertificate:
     matrix, inverse = tuple(map(tuple, m)), tuple(map(tuple, inv))
     cert = BasisCertificate(n, matrix, det_hessenberg(inv), inverse)
     if not cert.verify():
-        raise ArithmeticError("certificate failed back-multiplication check")
+        raise ArithmeticError("certificate failed the closed-form entry check")
     return cert
 
 

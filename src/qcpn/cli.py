@@ -92,23 +92,23 @@ def _check_class_budget(n: int, m: "int | None" = None) -> None:
         raise ValueError(f"line power must be at most {MAX_LINE_POWER} in absolute value")
 
 
-def _selected_class(args) -> tuple:
-    """The class named by ``--line``, ``--basis`` or ``--coeffs``, and its params entry."""
+def _selected_class(args):
+    """The class named by ``--line``, ``--basis`` or ``--coeffs``."""
     _check_class_budget(args.n, args.line)
     if args.line is not None:
         from .kclasses import line_class
 
-        return line_class(args.n, args.line), {"line": args.line}
+        return line_class(args.n, args.line)
     if getattr(args, "basis", None) is not None:
         from .basis import basis_class
 
-        return basis_class(args.n, args.basis), {"basis": args.basis}
+        return basis_class(args.n, args.basis)
     from .rings import TruncatedPoly
 
-    return TruncatedPoly(args.n, _parse_coeffs(args.coeffs)), {"coeffs": args.coeffs}
+    return TruncatedPoly(args.n, _parse_coeffs(args.coeffs))
 
 
-# -- subcommand handlers: each returns (params, result, CSV rows or None) ----
+# -- subcommand handlers: each returns (result, CSV rows or None) ------------
 # Each imports the modules it runs when it is called, so a cold start of one
 # command loads only those (see the package docstring).
 
@@ -117,7 +117,7 @@ def _run_kbasis(args):
     from .basis import certify_basis
 
     cert = certify_basis(args.n)
-    return {"n": args.n, "format": args.format}, cert.as_dict(), cert.matrix
+    return cert.as_dict(), cert.matrix
 
 
 def _run_kclass_line(args):
@@ -125,7 +125,7 @@ def _run_kclass_line(args):
 
     _check_class_budget(args.n, args.m)
     c = line_class(args.n, args.m)
-    return {"n": args.n, "m": args.m, "format": args.format}, c.as_dict(), [c.coeffs]
+    return c.as_dict(), [c.coeffs]
 
 
 def _run_kclass_assoc(args):
@@ -138,38 +138,23 @@ def _run_kclass_assoc(args):
         raise ValueError(f"rank must be at most {MAX_LINE_POWER}, got {args.su}")
     w = fundamental_weights(args.su)
     c = associated_class(args.n, w)
-    decomposition = [
-        {"m": weight, "multiplicity": mult} for weight, mult in sorted(Counter(w).items())
-    ]
-    result = {
-        "n": args.n,
-        "su": args.su,
-        "weights": list(w),
-        "decomposition": decomposition,
-        "class": c.as_dict(),
-    }
-    return {"n": args.n, "su": args.su}, result, None
+    result = {"n": args.n, "su": args.su, "weights": list(w), "class": c.as_dict()}
+    result["decomposition"] = [{"m": m, "multiplicity": k} for m, k in sorted(Counter(w).items())]
+    return result, None
 
 
 def _run_pair(args):
     from .pairing import pairing_vector
 
-    c, selector = _selected_class(args)
-    result = {
-        "n": c.n,
-        "class": c.as_dict(),
-        "pairings": [str(v) for v in pairing_vector(c)],
-    }
-    return {"n": args.n, **selector}, result, None
+    c = _selected_class(args)
+    return {"n": c.n, "class": c.as_dict(), "pairings": [str(v) for v in pairing_vector(c)]}, None
 
 
 def _run_restrict(args):
     from .kclasses import restrict
 
-    c, selector = _selected_class(args)
-    restricted = restrict(c, args.target)
-    params = {"n": args.n, "target": args.target, **selector}
-    return params, restricted.as_dict(), [restricted.coeffs]
+    restricted = restrict(_selected_class(args), args.target)
+    return restricted.as_dict(), [restricted.coeffs]
 
 
 def _degree_payload(poly) -> "int | str":
@@ -182,42 +167,47 @@ def _run_nc_reduce(args):
     from .sphere import _NormalProduct
 
     nf = parse_expr(args.expr, args.n, _mul=_NormalProduct(args.n))
-    result = {"normal_form": str(nf), "degree": _degree_payload(nf)}
-    return {"n": args.n, "expr": args.expr}, result, None
+    return {"normal_form": str(nf), "degree": _degree_payload(nf)}, None
 
 
 def _run_nc_degree(args):
     from .ncparse import _infer_n, parse_expr
 
     n = args.n if args.n is not None else _infer_n(args.expr)
-    p = parse_expr(args.expr, n)
-    params = {"expr": args.expr}
-    if args.n is not None:
-        params["n"] = args.n
-    return params, {"degree": _degree_payload(p)}, None
+    return {"degree": _degree_payload(parse_expr(args.expr, n))}, None
 
 
 def _run_nc_fuzz(args):
     from .sphere import fuzz_confluence
 
-    report = fuzz_confluence(args.n, args.max_len, args.trials, args.seed)
-    params = {
-        "n": args.n,
-        "max_len": args.max_len,
-        "trials": args.trials,
-        "seed": args.seed,
-    }
-    return params, report.as_dict(), None
+    return fuzz_confluence(args.n, args.max_len, args.trials, args.seed).as_dict(), None
 
 
 def _run_nc_relations(args):
     from .sphere import verify_defining_relations
 
-    report = verify_defining_relations(args.n)
-    return {"n": args.n}, report.as_dict(), None
+    return verify_defining_relations(args.n).as_dict(), None
 
 
 # -- parser ------------------------------------------------------------------
+
+
+def _command(sub, path: str, handler, help: str, *echo: str, n_help=None, with_n=True):
+    """Declare the command ``path`` (as ``"kclass line"``) on ``sub``; return its parser.
+
+    The command runs ``handler``, its envelope is labelled ``path``, and its
+    params echo ``n`` and the arguments named in ``echo``, leaving out unset
+    ones.  A required ``--n`` is declared first unless ``with_n`` is false.
+    """
+    parser = sub.add_parser(path.rpartition(" ")[2], help=help)
+    if with_n:
+        parser.add_argument("--n", type=int, required=True, help=n_help)
+    parser.set_defaults(handler=handler, label=path, echo=("n", *echo))
+    return parser
+
+
+def _add_format(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--format", choices=("json", "csv"), default="json")
 
 
 def _add_class_selector(parser: argparse.ArgumentParser, with_basis: bool):
@@ -239,67 +229,58 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"qcpn {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    kbasis = sub.add_parser(
-        "kbasis", help="basis matrix with unimodularity certificate"
+    kbasis = _command(
+        sub, "kbasis", _run_kbasis, "basis matrix with unimodularity certificate", "format",
+        n_help="projective space index",
     )
-    kbasis.add_argument("--n", type=int, required=True, help="projective space index")
-    kbasis.add_argument("--format", choices=("json", "csv"), default="json")
-    kbasis.set_defaults(handler=_run_kbasis, label="kbasis")
+    _add_format(kbasis)
 
     kclass = sub.add_parser("kclass", help="K-theory classes in the t-basis")
     kclass_sub = kclass.add_subparsers(dest="kclass_cmd", required=True, metavar="KIND")
 
-    kline = kclass_sub.add_parser("line", help="class of a line bundle")
-    kline.add_argument("--n", type=int, required=True)
+    kline = _command(
+        kclass_sub, "kclass line", _run_kclass_line, "class of a line bundle", "m", "format"
+    )
     kline.add_argument("--m", type=int, required=True, help="power of the line bundle")
-    kline.add_argument("--format", choices=("json", "csv"), default="json")
-    kline.set_defaults(handler=_run_kclass_line, label="kclass line")
+    _add_format(kline)
 
-    kassoc = kclass_sub.add_parser(
-        "assoc", help="class associated to the rank-M fundamental corepresentation"
+    kassoc = _command(
+        kclass_sub, "kclass assoc", _run_kclass_assoc,
+        "class associated to the rank-M fundamental corepresentation", "su",
     )
-    kassoc.add_argument("--n", type=int, required=True)
     kassoc.add_argument("--su", type=int, required=True, help="corepresentation rank M")
-    kassoc.set_defaults(handler=_run_kclass_assoc, label="kclass assoc")
 
-    pair = sub.add_parser("pair", help="index pairings of a class")
-    pair.add_argument("--n", type=int, required=True)
+    pair = _command(sub, "pair", _run_pair, "index pairings of a class", "line", "basis", "coeffs")
     _add_class_selector(pair, with_basis=True)
-    pair.set_defaults(handler=_run_pair, label="pair")
 
-    restrict_p = sub.add_parser(
-        "restrict", help="restrict a class to a smaller projective space"
+    restrict_p = _command(
+        sub, "restrict", _run_restrict, "restrict a class to a smaller projective space",
+        "target", "line", "coeffs",
     )
-    restrict_p.add_argument("--n", type=int, required=True)
     restrict_p.add_argument("--target", type=int, required=True)
     _add_class_selector(restrict_p, with_basis=False)
-    restrict_p.add_argument("--format", choices=("json", "csv"), default="json")
-    restrict_p.set_defaults(handler=_run_restrict, label="restrict")
+    _add_format(restrict_p)
 
     nc = sub.add_parser("nc", help="sphere-algebra normal forms")
     nc_sub = nc.add_subparsers(dest="nc_cmd", required=True, metavar="ACTION")
 
-    reduce_p = nc_sub.add_parser("reduce", help="normal form of an expression")
-    reduce_p.add_argument("--n", type=int, required=True)
+    reduce_p = _command(nc_sub, "nc reduce", _run_nc_reduce, "normal form of an expression", "expr")
     reduce_p.add_argument("--expr", required=True, help="expression (use --expr=... if it starts with '-')")
-    reduce_p.set_defaults(handler=_run_nc_reduce, label="nc reduce")
 
-    degree_p = nc_sub.add_parser("degree", help="circle weight of an expression")
+    degree_p = _command(
+        nc_sub, "nc degree", _run_nc_degree, "circle weight of an expression", "expr", with_n=False
+    )
     degree_p.add_argument("--expr", required=True)
     degree_p.add_argument("--n", type=int, help="ambient index (inferred if omitted)")
-    degree_p.set_defaults(handler=_run_nc_degree, label="nc degree")
 
-    fuzz_p = nc_sub.add_parser("fuzz", help="two-strategy confluence fuzzing")
-    fuzz_p.add_argument("--n", type=int, required=True)
-    fuzz_p.add_argument("--max-len", type=int, required=True)
-    fuzz_p.add_argument("--trials", type=int, required=True)
-    fuzz_p.add_argument("--seed", type=int, required=True)
-    fuzz_p.set_defaults(handler=_run_nc_fuzz, label="nc fuzz")
+    fuzz_p = _command(
+        nc_sub, "nc fuzz", _run_nc_fuzz, "two-strategy confluence fuzzing",
+        "max_len", "trials", "seed",
+    )
+    for flag in ("--max-len", "--trials", "--seed"):
+        fuzz_p.add_argument(flag, type=int, required=True)
 
-    rel_p = nc_sub.add_parser("relations", help="reduce all defining relations to zero")
-    rel_p.add_argument("--n", type=int, required=True)
-    rel_p.set_defaults(handler=_run_nc_relations, label="nc relations")
-
+    _command(nc_sub, "nc relations", _run_nc_relations, "reduce all defining relations to zero")
     return parser
 
 
@@ -309,13 +290,14 @@ def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        params, result, rows = args.handler(args)
+        result, rows = args.handler(args)
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if getattr(args, "format", None) == "csv":
         sys.stdout.writelines(",".join(map(str, row)) + "\n" for row in rows)
         return 0
+    params = {k: v for k, v in vars(args).items() if k in args.echo and v is not None}
     envelope = {
         "command": args.label,
         "params": params,

@@ -340,8 +340,6 @@ class TruncatedPoly(_Ring):
     __radd__ = __add__
 
     def __mul__(self, other):
-        if isinstance(other, int):  # scaling is O(n); skip the convolution
-            return TruncatedPoly._raw(self.n, tuple([c * other for c in self.coeffs]))
         other = self._coerce(other)
         if other is None:
             return NotImplemented

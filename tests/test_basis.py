@@ -331,7 +331,7 @@ class TestCertificates:
         assert peak < 1 << 20, peak
 
     def test_verify_accepts_top_of_range(self):
-        # the widest slots: n = MAX_BASIS_N
+        # the longest rows and largest entries: n = MAX_BASIS_N
         cert = certify_basis(MAX_BASIS_N)
         assert cert.n == 400 and cert.verify()
 
@@ -396,7 +396,7 @@ class TestCertificates:
 
     @pytest.mark.parametrize("n", [1, 4])
     def test_verify_rejects_inverse_of_wrong_shape(self, n):
-        # a zero column appended to N leaves every packed row of M N unchanged
+        # every entry present still equals its closed form; only the shape is wrong
         cert = certify_basis(n)
         for inverse in (
             [row + (0,) for row in cert.inverse],

@@ -481,6 +481,27 @@ class TestEnvelope:
         assert set(env) == {"command", "params", "result", "version"}
         assert env["version"] == __version__
 
+    @pytest.mark.parametrize("argv, params", [
+        ("kbasis --n 2", {"n": 2, "format": "json"}),
+        ("kclass line --n 3 --m -2", {"n": 3, "m": -2, "format": "json"}),
+        ("kclass assoc --n 3 --su 2", {"n": 3, "su": 2}),
+        ("pair --n 3 --line 0", {"n": 3, "line": 0}),
+        ("pair --n 6 --basis 4", {"n": 6, "basis": 4}),
+        ("pair --n 3 --coeffs 1,2", {"n": 3, "coeffs": "1,2"}),
+        ("restrict --n 5 --line 2 --target 3", {"n": 5, "target": 3, "line": 2}),
+        ("restrict --n 5 --coeffs 1,2 --target 3", {"n": 5, "target": 3, "coeffs": "1,2"}),
+        ("nc reduce --n 1 --expr z0", {"n": 1, "expr": "z0"}),
+        ("nc degree --expr z0", {"expr": "z0"}),
+        ("nc degree --expr z0 --n 2", {"n": 2, "expr": "z0"}),
+        ("nc fuzz --n 1 --max-len 3 --trials 2 --seed 5",
+         {"n": 1, "max_len": 3, "trials": 2, "seed": 5}),
+        ("nc relations --n 1", {"n": 1}),
+    ])
+    def test_params_echo_the_arguments(self, capsys, argv, params):
+        env = invoke_json(capsys, *argv.split())
+        assert env["command"] == argv.split(" --")[0]
+        assert env["params"] == params
+
     def test_byte_identical_reruns(self, capsys):
         _, first, _ = invoke(capsys, "nc", "fuzz", "--n", "2", "--max-len", "5",
                              "--trials", "100", "--seed", "42")
@@ -560,6 +581,44 @@ class TestWriter:
             tracemalloc.stop()
         # the 2.2 MB envelope's strings are made one row at a time
         assert peak < 5 * 2**20
+
+
+# sha256 of each parser's --help at 80 columns, as printed before every command
+# was declared through one constructor; argparse's layout changed in 3.13
+HELP_DIGESTS = [
+    ("", "caf9d3476ec7f447a7e5188412b2da8ae667189eec3af9fa9c5514c67782a1bd"),
+    ("kclass", "10e2f4ca135d7a3482acf842543be7c54bd7e1f77c4c6e268295ad3e33f8850c"),
+    ("nc", "57566d62fa9793836bcd4feabd14f8e9d085c950ca0869c80d4e55e85edcceea"),
+    ("kbasis", "317b85bdd6a1c91c1653be43a178c131043bec93585e43f29b9606f0d4e5daa8"),
+    ("kclass line", "c95b75ee98b1ba6ed696452fea23899a962853c5eaf0042dfb2c6d09b31ec74c"),
+    ("kclass assoc", "332ec27b8680211b0c7d159223aef0a88f1a9fbc1c26452506b55268fce29f29"),
+    ("pair", "be96f8bfb369ad346fee20c231c614e3771c45cedbd83e84df70c9313e6edad9"),
+    ("restrict", "6658fafcca04ab9bf5947d7cb78370572620e525880ee67830479e8b036f0b9a"),
+    ("nc reduce", "d612313c2ab133f2422625e64d5c198ffc7c204221e97ee2ae8065612ac16f92"),
+    ("nc degree", "1c401976b94c2ab252476296ca5d8e5871344d03f4aa0c435f77ea76c47a00e8"),
+    ("nc fuzz", "036b510b2b5cdcbc950af4cd5ef9ba4378ca39b1de45654776174e4fad98c0aa"),
+    ("nc relations", "db8cdf20bbaa063740c799d502a96d836d6f32abd76e936d73b1078f52d8ede5"),
+]
+
+
+class TestHelp:
+    @pytest.mark.skipif(sys.version_info >= (3, 13), reason="argparse help layout differs")
+    @pytest.mark.parametrize("path, digest", HELP_DIGESTS)
+    def test_help_bytes_pinned(self, capsys, monkeypatch, path, digest):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            run([*path.split(), "--help"])
+        out = capsys.readouterr().out
+        assert exc.value.code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+    def test_version_line(self, capsys):
+        from qcpn import __version__
+
+        with pytest.raises(SystemExit) as exc:
+            run(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == f"qcpn {__version__}\n"
 
 
 class TestUsageErrors:

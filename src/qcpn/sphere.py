@@ -34,15 +34,16 @@ folds each word from the empty word, and ``nc reduce`` forms every
 product of its expression this way, so the free product is never
 expanded.
 
-The pair rewriter ``_rewrite`` remains for the strategy comparisons of
+The pair rewriter ``_reduce`` remains for the strategy comparisons of
 ``fuzz_confluence``, ``exhaustive_pair_check`` and
 ``verify_defining_relations``.  It rewrites one redex at a time, at the
 position a caller-chosen strategy picks from the word's ascending redex
-list.  The two loops stay apart because each merged form was slower on
-one workload (measured on a 2-vCPU Xeon VM): running the letter-append
-through ``_rewrite``'s full redex scan made ``z1^3000*z0`` 8x slower
-(0.22 to 1.67 s), and giving ``_rewrite`` the windows of ``_settle``
-made the ``nc-fuzz`` benchmark 11-33 % slower.
+list, rescanning each word it pops; it keeps no cache.  The two loops
+stay apart because each merged form was slower on one workload
+(measured on a 2-vCPU Xeon VM): running the letter-append through the
+full redex scan made ``z1^3000*z0`` 8x slower (0.22 to 1.67 s), and
+giving ``_reduce`` the windows of ``_settle`` made the ``nc-fuzz``
+benchmark 11-33 % slower.
 
 Every coefficient, in ``NCPoly``, in the rewrite table and in both
 engines, has one representation: an exponent map ``{e: c}`` for
@@ -55,7 +56,7 @@ constructors and ``_constant``) to maps, ``terms()``, ``coefficient()``,
 ``defining_relations`` writes the relations by ``LaurentQ`` arithmetic,
 apart from the table it is checked against.  No coefficient map is ever
 mutated, so terms may share them; both engines multiply a coefficient by
-a factor of the rewrite table with ``_qmul``, and ``_rewrite`` passes it
+a factor of the rewrite table with ``_qmul``, and ``_reduce`` passes it
 on unchanged through the table's unit factor ``_UNIT``.
 
 Internally a word is a tuple of integer codes (for ambient ``n``: starred
@@ -334,22 +335,26 @@ def _rewrite_table(n: int, rules: frozenset) -> dict:
     ``(a, b)`` of codes under ``rules``.  Each family is written from its
     left side, as R1-R4 of the module docstring state it.  Each factor is
     an exponent map that every caller shares, so no engine may hand one
-    out as a coefficient."""
+    out as a coefficient.  R3 and R4 list their sums from the top index
+    down: both engines pop the word inserted last, so the lowest index is
+    rewritten first and the words it creates merge into pending entries,
+    and ``z_0 z*_0`` takes n + 2 steps, not 2^n + 1."""
     unknown = rules - ALL_RULES
     if unknown:
         raise ValueError(f"unknown rules: {sorted(unknown)}")
     s = n + 1  # z*_i is code i, z_i is code s + i
     q_inv, q, reorder = {-1: 1}, {1: 1}, {-2: 1, 0: -1}  # q^-1, q, q^-2 - 1
     pairs = [(i, j) for i in range(s) for j in range(s)]
+    down = lambda lo: reversed(range(lo, s))  # the indices lo .. n, top first
     families = {
         "R1": [((s + j, s + i), ((q_inv, (s + i, s + j)),)) for i, j in pairs if j > i]
         + [((i, j), ((q_inv, (j, i)),)) for i, j in pairs if i < j],
         "R2": [((s + i, j), ((q, (j, s + i)),)) for i, j in pairs if i != j],
         "R3": [
-            ((s + i, i), ((_UNIT, (i, s + i)), *((reorder, (s + m, m)) for m in range(i + 1, s))))
+            ((s + i, i), ((_UNIT, (i, s + i)), *((reorder, (s + m, m)) for m in down(i + 1))))
             for i in range(s)
         ],
-        "R4": [((0, s), ((_UNIT, ()), *(({-2 * k: -1}, (k, s + k)) for k in range(1, s))))],
+        "R4": [((0, s), ((_UNIT, ()), *(({-2 * k: -1}, (k, s + k)) for k in down(1))))],
     }
     return {pair: terms for rule in sorted(rules) for pair, terms in families[rule]}
 
@@ -360,28 +365,22 @@ def _over_budget(step_cap: int) -> StepBudgetExceeded:
     )
 
 
-def _rewrite(
-    start: dict, table: dict, pick, step_cap: int, redexes_of: dict
-) -> tuple[dict, int]:
+def _reduce(terms: dict, n: int, pick, rules: frozenset, step_cap: int) -> tuple[dict, int]:
     """The pair rewriter on exponent-map coefficients ``{e: c}`` of ``q^e``.
 
-    Drives ``start`` to normal form under the redex-picking strategy
-    ``pick``, which chooses one position from the ascending list of every
-    redex position of a word.  Equal words are merged as they appear; this
-    is sound because reduction is linear over words.  ``redexes_of`` caches
-    each word's redex list and may be shared by calls on the same table.
-    Coefficient dicts are never mutated, so words may share them.  Returns
+    Drives ``terms`` to normal form under ``rules`` and the redex-picking
+    strategy ``pick``, which chooses one position from the ascending list
+    of every redex position of a word.  Equal words are merged as they
+    appear; this is sound because reduction is linear over words.  Returns
     the normal terms and the number of rule applications performed.
     """
-    pending = dict(start)
+    table = _rewrite_table(n, frozenset(rules))
+    pending = dict(terms)
     done: dict[tuple[int, ...], dict] = {}
     steps = 0
     while pending:
         word, coeff = pending.popitem()
-        redexes = redexes_of.get(word)
-        if redexes is None:
-            redexes = [p for p in range(len(word) - 1) if (word[p], word[p + 1]) in table]
-            redexes_of[word] = redexes
+        redexes = [p for p in range(len(word) - 1) if (word[p], word[p + 1]) in table]
         if not redexes:
             _qmerge(done, word, coeff)
             continue
@@ -395,13 +394,6 @@ def _rewrite(
             new = coeff if f is _UNIT else _qmul(coeff, f)
             _qmerge(pending, head + repl + tail, new)
     return done, steps
-
-
-def _reduce(
-    terms: dict, n: int, pick, rules: frozenset, step_cap: int
-) -> tuple[dict, int]:
-    """``_rewrite`` of ``terms`` under ``rules`` and ``pick``, on fresh redex lists."""
-    return _rewrite(terms, _rewrite_table(n, frozenset(rules)), pick, step_cap, {})
 
 
 def _leftmost(redexes):
@@ -632,11 +624,9 @@ def _compare_strategies(
     Differing normal forms or broken weight homogeneity are recorded in
     ``report``; ``StepBudgetExceeded`` propagates to the caller.
     """
-    table = _rewrite_table(n, ALL_RULES)
     start = {word: {0: 1}}
-    redexes_of: dict = {}
-    left, left_steps = _rewrite(start, table, _leftmost, cap, redexes_of)
-    rand, rand_steps = _rewrite(start, table, rng.choice, cap, redexes_of)
+    left, left_steps = _reduce(start, n, _leftmost, ALL_RULES, cap)
+    rand, rand_steps = _reduce(start, n, rng.choice, ALL_RULES, cap)
     report.max_steps = max(report.max_steps, left_steps, rand_steps)
     shift = n + 1
     degree = _weight(word, shift)

@@ -63,7 +63,7 @@ def test_criterion_01_unimodularity_certificates(report):
         for n in CERT_RANGE:
             cert = certify_basis(n)  # fresh, uncached
             assert cert.det in (1, -1), f"n={n} det {cert.det}"
-            assert cert.verify(), f"n={n} back-multiplication failed"
+            assert cert.verify(), f"n={n} closed-form entry check failed"
         elapsed = time.perf_counter() - start
         assert elapsed < CERT_BUDGET_SECONDS, f"took {elapsed:.2f}s"
         return f"n=1..64, |det|=1 with verified inverse, {elapsed:.2f}s of {CERT_BUDGET_SECONDS:.0f}s budget"

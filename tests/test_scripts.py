@@ -35,13 +35,13 @@ class TestCertifyRange:
 
     def test_failed_certificate_is_reported(self, certify_range, capsys, monkeypatch):
         def broken(n):
-            raise ArithmeticError("certificate failed back-multiplication check")
+            raise ArithmeticError("certificate failed the closed-form entry check")
 
         monkeypatch.setattr(certify_range, "certify_basis", broken)
         code = certify_range.run(certify_range.parse_args(["--max-n", "3"]))
         lines = capsys.readouterr().out.splitlines()
         assert code == 1
-        assert lines[0] == "n=  1  FAIL  certificate failed back-multiplication check"
+        assert lines[0] == "n=  1  FAIL  certificate failed the closed-form entry check"
         assert "0/3 spaces" in lines[-1] and lines[-1].endswith(": 3 FAILED")
 
     def test_broken_nesting_is_reported(self, certify_range, capsys, monkeypatch):

@@ -19,7 +19,11 @@ when the writer reaches them.
 The K-class commands (``kclass``, ``pair``, ``restrict``) refuse ``--n``
 above ``MAX_BASIS_N``, and line powers beyond ``MAX_LINE_POWER`` in
 absolute value or ranks ``--su`` above it, which bounds the size of every
-class and weight list they print.
+class and weight list they print.  ``nc reduce`` and ``nc fuzz`` refuse
+``--n`` above ``MAX_NC_N`` and ``nc relations`` above
+``MAX_RELATIONS_N``; ``nc fuzz`` also refuses ``--trials`` above
+``MAX_FUZZ_TRIALS`` and ``--max-len`` above ``MAX_FUZZ_LEN``.  Each
+refusal comes before the rewrite table is built.
 
 Exit codes: 0 success, 1 domain error (diagnostic on stderr), 2 usage
 error (argparse diagnostics).
@@ -39,6 +43,10 @@ from json.encoder import encode_basestring_ascii as _quote
 from . import __version__
 
 MAX_LINE_POWER = 10**6  # largest |m| of a line class the K-class commands build
+MAX_NC_N = 200  # the rewrite table of n = 200 alone takes about 0.3 s and 52 MiB
+MAX_RELATIONS_N = 48  # nc relations grows as n^3: 1-2 s at n = 48
+MAX_FUZZ_TRIALS = 10**4  # about 1.2 s of words up to six letters at n = 4
+MAX_FUZZ_LEN = 12  # a 12-letter word takes about 1 ms at n = 2, 0.8 s at n = 200
 
 
 def _write_json(obj, write, newline="\n") -> None:
@@ -82,12 +90,16 @@ def _parse_coeffs(text: str) -> list[int]:
         raise ValueError(f"--coeffs expects comma-separated integers, got {text!r}")
 
 
+def _at_most(what: str, value: int, cap: int) -> None:
+    if value > cap:
+        raise ValueError(f"{what} must be at most {cap}, got {value}")
+
+
 def _check_class_budget(n: int, m: "int | None" = None) -> None:
     """Refuse a class of order above ``MAX_BASIS_N`` or a line power ``|m| > MAX_LINE_POWER``."""
     from .kclasses import MAX_BASIS_N
 
-    if n > MAX_BASIS_N:
-        raise ValueError(f"dimension must be at most {MAX_BASIS_N}, got {n}")
+    _at_most("dimension", n, MAX_BASIS_N)
     if m is not None and abs(m) > MAX_LINE_POWER:
         raise ValueError(f"line power must be at most {MAX_LINE_POWER} in absolute value")
 
@@ -134,8 +146,7 @@ def _run_kclass_assoc(args):
     from .corep import associated_class, fundamental_weights
 
     _check_class_budget(args.n)
-    if args.su > MAX_LINE_POWER:  # the bundle holds the line class of power su - 1
-        raise ValueError(f"rank must be at most {MAX_LINE_POWER}, got {args.su}")
+    _at_most("rank", args.su, MAX_LINE_POWER)  # the bundle holds the line class of power su - 1
     w = fundamental_weights(args.su)
     c = associated_class(args.n, w)
     result = {"n": args.n, "su": args.su, "weights": list(w), "class": c.as_dict()}
@@ -166,6 +177,7 @@ def _run_nc_reduce(args):
     from .ncparse import parse_expr
     from .sphere import _NormalProduct
 
+    _at_most("ambient index", args.n, MAX_NC_N)
     nf = parse_expr(args.expr, args.n, _mul=_NormalProduct(args.n))
     return {"normal_form": str(nf), "degree": _degree_payload(nf)}, None
 
@@ -180,12 +192,16 @@ def _run_nc_degree(args):
 def _run_nc_fuzz(args):
     from .sphere import fuzz_confluence
 
+    _at_most("ambient index", args.n, MAX_NC_N)
+    _at_most("trials", args.trials, MAX_FUZZ_TRIALS)
+    _at_most("max_len", args.max_len, MAX_FUZZ_LEN)
     return fuzz_confluence(args.n, args.max_len, args.trials, args.seed).as_dict(), None
 
 
 def _run_nc_relations(args):
     from .sphere import verify_defining_relations
 
+    _at_most("ambient index", args.n, MAX_RELATIONS_N)
     return verify_defining_relations(args.n).as_dict(), None
 
 

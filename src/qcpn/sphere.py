@@ -24,26 +24,26 @@ genuinely non-confluent.)  Confluence of the chosen orientation is still
 not proven here; ``fuzz_confluence`` compares two reduction strategies on
 random words and reports any disagreement instead of repairing it.
 
-Normal forms come from one engine, the letter-append product
-``_NormalProduct``: the product of two normal forms feeds the letters of
-the right factor one at a time into the normal terms of the left one.
-A normal word with one letter appended can hold a redex only at the
-junction, and each rewrite can create redexes only next to the pair it
-replaced, so the redex search never rescans a word.  ``normal_form``
-folds each word from the empty word, and ``nc reduce`` forms every
-product of its expression this way, so the free product is never
-expanded.
+Two engines share the rewrite table.  The letter-append product
+``_NormalProduct`` serves ``normal_form``, ``project_to_s3``, ``nc
+reduce`` and the parser: the product of two normal forms feeds the
+letters of the right factor one at a time into the normal terms of the
+left one.  A normal word with one letter appended can hold a redex only
+at the junction, and each rewrite can create redexes only next to the
+pair it replaced, so the redex search never rescans a word, and the free
+product of an expression is never expanded.
 
-The pair rewriter ``_reduce`` remains for the strategy comparisons of
-``fuzz_confluence``, ``exhaustive_pair_check`` and
-``verify_defining_relations``.  It rewrites one redex at a time, at the
-position a caller-chosen strategy picks from the word's ascending redex
-list, rescanning each word it pops; it keeps no cache.  The two loops
-stay apart because each merged form was slower on one workload
-(measured on a 2-vCPU Xeon VM): running the letter-append through the
-full redex scan made ``z1^3000*z0`` 8x slower (0.22 to 1.67 s), and
-giving ``_reduce`` the windows of ``_settle`` made the ``nc-fuzz``
-benchmark 11-33 % slower.
+The checks run only the pair rewriter ``_reduce``: the strategy
+comparisons of ``fuzz_confluence`` and ``exhaustive_pair_check``, and
+``verify_defining_relations`` on each relation and its S^3 image under
+one budget.  It rewrites one redex at a time, at the position a
+caller-chosen strategy picks from the word's ascending redex list,
+rescanning each word it pops; it keeps no cache.  The two loops stay
+apart because each merged form was slower on one workload (measured on
+a 2-vCPU Xeon VM): running the letter-append through the full redex
+scan made ``z1^3000*z0`` 8x slower (0.22 to 1.67 s), and giving
+``_reduce`` the windows of ``_settle`` made the ``nc-fuzz`` benchmark
+11-33 % slower.
 
 Every coefficient, in ``NCPoly``, in the rewrite table and in both
 engines, has one representation: an exponent map ``{e: c}`` for
@@ -72,6 +72,7 @@ import random
 from functools import lru_cache
 from itertools import product
 from operator import index
+from types import SimpleNamespace
 from typing import Iterable, NamedTuple
 
 from .rings import LaurentQ, _monomial, _qadd, _qmul, _Ring, _signed_sum
@@ -370,9 +371,10 @@ def _reduce(terms: dict, n: int, pick, rules: frozenset, step_cap: int) -> tuple
 
     Drives ``terms`` to normal form under ``rules`` and the redex-picking
     strategy ``pick``, which chooses one position from the ascending list
-    of every redex position of a word.  Equal words are merged as they
-    appear; this is sound because reduction is linear over words.  Returns
-    the normal terms and the number of rule applications performed.
+    of the redex positions of a word that holds two or more.  Equal words
+    are merged as they appear; this is sound because reduction is linear
+    over words.  Returns the normal terms and the number of rule
+    applications performed.
     """
     table = _rewrite_table(n, frozenset(rules))
     pending = dict(terms)
@@ -384,7 +386,7 @@ def _reduce(terms: dict, n: int, pick, rules: frozenset, step_cap: int) -> tuple
         if not redexes:
             _qmerge(done, word, coeff)
             continue
-        pos = pick(redexes)
+        pos = pick(redexes) if len(redexes) > 1 else redexes[0]
         steps += 1
         if steps > step_cap:
             raise _over_budget(step_cap)
@@ -506,6 +508,13 @@ def normal_form(
     return _NormalProduct(p.n, rules, step_cap)(NCPoly.one(p.n), p)
 
 
+def _s3_image(p: NCPoly) -> NCPoly:
+    """The words of ``p`` in ``z_0``, ``z_1`` and their stars, recoded for n = 1."""
+    recode = {0: 0, 1: 1, p.n + 1: 2, p.n + 2: 3}
+    kept = {w: c for w, c in p._terms.items() if recode.keys() >= set(w)}
+    return NCPoly._raw(1, {tuple(map(recode.get, w)): c for w, c in kept.items()})
+
+
 def project_to_s3(p: NCPoly) -> NCPoly:
     """The circle-equivariant *-homomorphism onto the 3-sphere algebra.
 
@@ -514,12 +523,7 @@ def project_to_s3(p: NCPoly) -> NCPoly:
     """
     if p.n < 1:
         raise ValueError("ambient index must be at least 1")
-    out: dict[tuple[int, ...], dict] = {}
-    for word, coeff in p._terms.items():
-        gens = [_decode(c, p.n) for c in word]
-        if all(g.index < 2 for g in gens):
-            _qmerge(out, tuple(_encode(g, 1) for g in gens), coeff)
-    return normal_form(NCPoly._raw(1, out))
+    return normal_form(_s3_image(p))
 
 
 def sphere_sum(n: int) -> NCPoly:
@@ -557,24 +561,12 @@ def defining_relations(n: int) -> list[tuple[str, NCPoly]]:
     return rels
 
 
-class ReductionReport:
+class ReductionReport(SimpleNamespace):
     """Outcome of a batch reduction check; empty mismatches means pass."""
 
     def __init__(self, words: int = 0, max_steps: int = 0, mismatches: list | None = None):
-        self.words = words
-        self.max_steps = max_steps
-        self.mismatches = [] if mismatches is None else mismatches
-
-    def __eq__(self, other):  # defining __eq__ leaves the mutable report unhashable
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def __repr__(self) -> str:
-        return (
-            f"ReductionReport(words={self.words!r}, max_steps={self.max_steps!r}, "
-            f"mismatches={self.mismatches!r})"
-        )
+        mismatches = [] if mismatches is None else mismatches
+        super().__init__(words=words, max_steps=max_steps, mismatches=mismatches)
 
     @property
     def passed(self) -> bool:
@@ -591,22 +583,19 @@ class ReductionReport:
 
 def verify_defining_relations(n: int, step_cap: int | None = None) -> ReductionReport:
     """Reduce every defining relation to zero, in the source algebra and
-    through the 3-sphere projection.
+    through the 3-sphere projection, both under the one step budget.
 
     Failures are recorded in the report, never raised.
     """
     cap = _step_cap(step_cap)
     report = ReductionReport()
     for name, rel in defining_relations(n):
-        terms, steps = _reduce(rel._terms, n, _leftmost, ALL_RULES, cap)
-        report.words += 1
-        report.max_steps = max(report.max_steps, steps)
-        if terms:
-            report.mismatches.append((name, str(NCPoly._raw(n, terms)), "0"))
-        image = project_to_s3(rel)
-        report.words += 1
-        if not image.is_zero():
-            report.mismatches.append((f"s3 image of: {name}", str(image), "0"))
+        for label, p in ((name, rel), (f"s3 image of: {name}", _s3_image(rel))):
+            terms, steps = _reduce(p._terms, p.n, _leftmost, ALL_RULES, cap)
+            report.words += 1
+            report.max_steps = max(report.max_steps, steps)
+            if terms:
+                report.mismatches.append((label, str(NCPoly._raw(p.n, terms)), "0"))
     return report
 
 
@@ -648,7 +637,9 @@ def fuzz_confluence(
     Each random word is reduced twice, once leftmost-innermost and once
     with seeded random redex selection; differing normal forms, broken
     weight homogeneity, or an exhausted step budget are recorded as
-    mismatches.  Deterministic for a fixed seed.
+    mismatches.  Deterministic for a fixed seed: the words come from
+    ``random.Random(seed)`` and the redex choices from a second stream
+    derived from it, so the words a seed tests do not depend on the engine.
     """
     if n < 0:
         raise ValueError("ambient index n must be nonnegative")
@@ -657,12 +648,12 @@ def fuzz_confluence(
     if trials < 0:
         raise ValueError("trials must be non-negative")
     cap = _step_cap(step_cap)
-    rng = random.Random(seed)
+    rng, choices = random.Random(seed), random.Random(f"{seed}/choices")
     report = ReductionReport(words=trials)
     for _ in range(trials):
         word = _random_word(rng, n, max_len)
         try:
-            _compare_strategies(word, n, rng, cap, report)
+            _compare_strategies(word, n, choices, cap, report)
         except StepBudgetExceeded:
             report.mismatches.append(
                 (_render_word(word, n), "step budget exceeded", "")

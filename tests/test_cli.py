@@ -284,6 +284,40 @@ class TestNC:
                                 "--trials", "2", "--seed", "1")
         assert (code, out, err) == (1, "", "error: ambient index n must be nonnegative\n")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["reduce", "--n", "201", "--expr", "z0"], "ambient index must be at most 200, got 201"),
+            (["fuzz", "--n", "201", "--max-len", "3", "--trials", "1", "--seed", "1"],
+             "ambient index must be at most 200, got 201"),
+            (["fuzz", "--n", "1", "--max-len", "3", "--trials", "10001", "--seed", "1"],
+             "trials must be at most 10000, got 10001"),
+            (["fuzz", "--n", "1", "--max-len", "13", "--trials", "1", "--seed", "1"],
+             "max_len must be at most 12, got 13"),
+            (["relations", "--n", "49"], "ambient index must be at most 48, got 49"),
+        ],
+    )
+    def test_size_budgets_refuse_before_the_table(self, capsys, monkeypatch, argv, message):
+        def no_table(n, rules):
+            raise AssertionError(f"rewrite table of n={n} built")
+
+        monkeypatch.setattr("qcpn.sphere._rewrite_table", no_table)
+        assert invoke(capsys, "nc", *argv) == (1, "", f"error: {message}\n")
+
+    def test_size_budgets_admit_their_bounds(self, capsys, monkeypatch):
+        for cap, value in (("NC_N", 2), ("RELATIONS_N", 2), ("FUZZ_TRIALS", 5), ("FUZZ_LEN", 4)):
+            monkeypatch.setattr(f"qcpn.cli.MAX_{cap}", value)
+        fuzz = "nc fuzz --n {} --max-len {} --trials {} --seed 1"
+        for at, over in [
+            ("nc reduce --n 2 --expr z0", "nc reduce --n 3 --expr z0"),
+            (fuzz.format(2, 4, 5), fuzz.format(3, 4, 5)),
+            (fuzz.format(2, 4, 5), fuzz.format(2, 4, 6)),
+            (fuzz.format(2, 4, 5), fuzz.format(2, 5, 5)),
+            ("nc relations --n 2", "nc relations --n 3"),
+        ]:
+            assert invoke(capsys, *at.split())[0] == 0
+            assert invoke(capsys, *over.split())[0] == 1
+
     def test_relations_report(self, capsys):
         env = invoke_json(capsys, "nc", "relations", "--n", "2")
         assert env["result"]["passed"] is True

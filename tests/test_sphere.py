@@ -475,10 +475,21 @@ class TestFuzz:
         assert set(d) == {"words", "max_steps", "mismatches", "passed"}
         assert d["passed"] is True and d["mismatches"] == []
 
+    def test_words_do_not_depend_on_the_engine(self, monkeypatch):
+        # the random strategy draws from its own stream, so a seed tests the
+        # same words however many choices the reductions make
+        seen = []
+        real = sphere._compare_strategies
+        record = lambda word, *rest: (seen.append(word), real(word, *rest))
+        monkeypatch.setattr(sphere, "_compare_strategies", record)
+        assert fuzz_confluence(2, 6, 200, seed=4).passed
+        rng = random.Random(4)
+        assert seen == [sphere._random_word(rng, 2, 6) for _ in range(200)]
+
     def test_pinned_step_counts(self):
         # any change to the rng stream or to step counting moves these
         assert [fuzz_confluence(n, 6, 500, seed=0).max_steps for n in (1, 2, 3, 4)] == [
-            66, 121, 227, 621
+            79, 285, 836, 599
         ]
         assert [verify_defining_relations(n).max_steps for n in range(1, 9)] == [
             5, 8, 12, 17, 23, 30, 38, 47
@@ -487,8 +498,8 @@ class TestFuzz:
 
     def test_pinned_budget_report(self):
         report = fuzz_confluence(2, 6, 40, seed=5, step_cap=3)
-        assert (report.words, len(report.mismatches), report.max_steps) == (40, 16, 3)
-        assert report.mismatches[0] == ("z1s*z2*z0s*z1s*z0s", "step budget exceeded", "")
+        assert (report.words, len(report.mismatches), report.max_steps) == (40, 18, 3)
+        assert report.mismatches[0] == ("z0s*z0*z1s*z2*z0s*z1s", "step budget exceeded", "")
 
     def test_mismatch_is_reported(self, monkeypatch):
         # R3 on z0 z0s with q^-4 - 1 instead of q^-2 - 1 breaks confluence
@@ -503,11 +514,11 @@ class TestFuzz:
 
         monkeypatch.setattr(sphere, "_rewrite_table", broken_table)
         report = fuzz_confluence(1, 4, 200, seed=1)
-        assert len(report.mismatches) == 6
+        assert len(report.mismatches) == 7
         assert report.mismatches[0] == (
-            "z0s*z0s*z0*z0s",
-            "z0s*z0s - q^-2*z1s*z0s*z0s*z1",
-            "z0s*z0s + (q^-6 - q^-4 - q^-2)*z1s*z0s*z0s*z1",
+            "z0s*z0*z0s*z0s",
+            "z0s*z0s - z1s*z0s*z0s*z1",
+            "z0s*z0s + (q^-6 - q^-2 - 1)*z1s*z0s*z0s*z1",
         )
 
     def test_weight_change_is_reported(self, monkeypatch):
@@ -553,6 +564,12 @@ class TestStepBudget:
             monkeypatch.setenv("QCPN_STEP_CAP", raw)
             with pytest.raises(ValueError, match=f"must be a positive integer, got '{raw}'$"):
                 normal_form(NCPoly.one(1))
+
+    def test_relations_run_under_the_explicit_cap(self, monkeypatch):
+        # the s3 images reduce under the caller's cap, not the environment's
+        monkeypatch.setenv("QCPN_STEP_CAP", "2")
+        report = verify_defining_relations(1, step_cap=10**6)
+        assert report.passed and report.max_steps == 5
 
     def test_explicit_cap_wins_over_env(self, monkeypatch):
         monkeypatch.setenv("QCPN_STEP_CAP", "1")

@@ -48,7 +48,7 @@ from itertools import chain, islice, repeat
 from operator import add, eq, index, mul, sub
 from typing import NamedTuple
 
-from .corep import associated_class, fundamental_weights
+from .corep import _counted_class
 from .kclasses import MAX_BASIS_N, line_class
 from .rings import TruncatedPoly
 
@@ -64,11 +64,12 @@ def _basis_row(n: int, m: int, lines: dict) -> list[int]:
 
     The unit at ``m = 0``, ``line(n, 1) - 1`` at ``m = 1`` (the bundle of the
     single weight 1), and the rank-``m`` associated class minus ``m`` above.
-    ``lines`` caches line classes as in ``associated_class``.
+    ``lines`` caches line classes as in ``associated_class``.  The weights
+    of ``fundamental_weights(m)`` are passed as their multiplicities.
     """
     if m == 0:
         return [1] + [0] * n
-    row = list(associated_class(n, fundamental_weights(m) if m > 1 else (1,), lines).coeffs)
+    row = _counted_class(n, {-1: m - 1, m - 1: 1} if m > 1 else {1: 1}, lines)
     row[0] -= m
     return row
 

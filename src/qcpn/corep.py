@@ -57,8 +57,16 @@ def associated_class(n: int, weights, lines: dict | None = None) -> TruncatedPol
     counts = Counter(map(index, weights))
     if not counts:
         raise ValueError("weight vector must be nonempty")
-    if lines is None:
-        lines = {}
+    return TruncatedPoly._raw(n, tuple(_counted_class(n, counts, {} if lines is None else lines)))
+
+
+def _counted_class(n: int, counts, lines: dict) -> list[int]:
+    """Coefficients of the class of weights with multiplicities ``counts``.
+
+    ``counts`` maps each weight to a positive multiplicity, so a caller
+    that knows them lists no weight one by one; ``lines`` is as in
+    ``associated_class``.  Returns a new list.
+    """
     total = None
     for lam, mult in counts.items():
         if lam not in lines:
@@ -67,7 +75,7 @@ def associated_class(n: int, weights, lines: dict | None = None) -> TruncatedPol
         scaled = row if mult == 1 else map(mul, repeat(mult), row)
         # a list after every weight, so no chain of lazy maps grows with the weights
         total = list(scaled if total is None else map(add, total, scaled))
-    return TruncatedPoly._raw(n, tuple(total))
+    return total
 
 
 def fundamental_decomposition(n: int, m: int) -> tuple[int, ...]:

@@ -24,26 +24,32 @@ genuinely non-confluent.)  Confluence of the chosen orientation is still
 not proven here; ``fuzz_confluence`` compares two reduction strategies on
 random words and reports any disagreement instead of repairing it.
 
-Two engines share the rewrite table.  The letter-append product
-``_NormalProduct`` serves ``normal_form``, ``project_to_s3``, ``nc
-reduce`` and the parser: the product of two normal forms feeds the
-letters of the right factor one at a time into the normal terms of the
-left one.  A normal word with one letter appended can hold a redex only
-at the junction, and each rewrite can create redexes only next to the
-pair it replaced, so the redex search never rescans a word, and the free
-product of an expression is never expanded.
+Two engines share the rewrite table, ``_rewrite_table``: ``2n+2`` rows
+of ``2n+2`` entries, where ``table[a][b]`` is the replacement of the
+pair of codes ``(a, b)``, or ``None`` if the pair is normal.  The
+letter-append product ``_NormalProduct`` serves ``normal_form``,
+``project_to_s3``, ``nc reduce`` and the parser: the product of two
+normal forms feeds the letters of the right factor one at a time into
+the normal terms of the left one.  A normal word with one letter
+appended can hold a redex only at the junction, and each rewrite can
+create redexes only next to the pair it replaced, so the redex search
+never rescans a word, and the free product of an expression is never
+expanded.
 
 The checks run only the pair rewriter ``_reduce``: the strategy
 comparisons of ``fuzz_confluence`` and ``exhaustive_pair_check``, and
 ``verify_defining_relations`` on each relation and its S^3 image under
 one budget.  It rewrites one redex at a time, at the position a
 caller-chosen strategy picks from the word's ascending redex list,
-rescanning each word it pops; it keeps no cache.  The two loops stay
-apart because each merged form was slower on one workload (measured on
-a 2-vCPU Xeon VM): running the letter-append through the full redex
-scan made ``z1^3000*z0`` 8x slower (0.22 to 1.67 s), and giving
-``_reduce`` the windows of ``_settle`` made the ``nc-fuzz`` benchmark
-11-33 % slower.
+rescanning each word it pops; it keeps no cache.  A strategy is asked
+only for a word with two or more redexes, so the random run of a word
+whose leftmost run never asked would repeat it step for step;
+``_compare_strategies`` skips that run.  The two loops stay apart
+because each merged form was slower on one workload (measured on a
+2-vCPU Xeon VM): running the letter-append through the full redex scan
+made ``z1^3000*z0`` 8x slower (0.22 to 1.67 s), and giving ``_reduce``
+the windows of ``_settle`` made the ``nc-fuzz`` benchmark 11-33 %
+slower.
 
 Every coefficient, in ``NCPoly``, in the rewrite table and in both
 engines, has one representation: an exponent map ``{e: c}`` for
@@ -331,15 +337,20 @@ class NCPoly(_Ring):
 
 
 @lru_cache(maxsize=None)
-def _rewrite_table(n: int, rules: frozenset) -> dict:
-    """Replacement terms ``((factor, subword), ...)`` of every redex pair
-    ``(a, b)`` of codes under ``rules``.  Each family is written from its
-    left side, as R1-R4 of the module docstring state it.  Each factor is
-    an exponent map that every caller shares, so no engine may hand one
-    out as a coefficient.  R3 and R4 list their sums from the top index
-    down: both engines pop the word inserted last, so the lowest index is
-    rewritten first and the words it creates merge into pending entries,
-    and ``z_0 z*_0`` takes n + 2 steps, not 2^n + 1."""
+def _rewrite_table(n: int, rules: frozenset) -> list:
+    """The rewrite table of ``rules`` as ``2n+2`` rows of ``2n+2`` entries.
+
+    ``table[a][b]`` holds the replacement terms ``((factor, subword), ...)``
+    of the pair ``(a, b)`` of codes, or ``None`` for a normal pair, so
+    both engines find a redex by indexing two lists, without building and
+    hashing a pair.  Each family is written from its left side, as R1-R4
+    of the module docstring state it.  Each factor is an exponent map
+    that every caller shares, so no engine may hand one out as a
+    coefficient.  R3 and R4 list their sums from the top index down: both
+    engines pop the word inserted last, so the lowest index is rewritten
+    first and the words it creates merge into pending entries, and
+    ``z_0 z*_0`` takes n + 2 steps, not 2^n + 1.
+    """
     unknown = rules - ALL_RULES
     if unknown:
         raise ValueError(f"unknown rules: {sorted(unknown)}")
@@ -357,7 +368,11 @@ def _rewrite_table(n: int, rules: frozenset) -> dict:
         ],
         "R4": [((0, s), ((_UNIT, ()), *(({-2 * k: -1}, (k, s + k)) for k in down(1))))],
     }
-    return {pair: terms for rule in sorted(rules) for pair, terms in families[rule]}
+    rows = [[None] * (2 * s) for _ in range(2 * s)]
+    for rule in rules:
+        for (a, b), terms in families[rule]:
+            rows[a][b] = terms
+    return rows
 
 
 def _over_budget(step_cap: int) -> StepBudgetExceeded:
@@ -382,7 +397,7 @@ def _reduce(terms: dict, n: int, pick, rules: frozenset, step_cap: int) -> tuple
     steps = 0
     while pending:
         word, coeff = pending.popitem()
-        redexes = [p for p in range(len(word) - 1) if (word[p], word[p + 1]) in table]
+        redexes = [p for p in range(len(word) - 1) if table[word[p]][word[p + 1]] is not None]
         if not redexes:
             _qmerge(done, word, coeff)
             continue
@@ -392,7 +407,7 @@ def _reduce(terms: dict, n: int, pick, rules: frozenset, step_cap: int) -> tuple
             raise _over_budget(step_cap)
         head = word[:pos]
         tail = word[pos + 2 :]
-        for f, repl in table[word[pos], word[pos + 1]]:
+        for f, repl in table[word[pos]][word[pos + 1]]:
             new = coeff if f is _UNIT else _qmul(coeff, f)
             _qmerge(pending, head + repl + tail, new)
     return done, steps
@@ -434,13 +449,13 @@ class _NormalProduct:
         for word, coeff in right._terms.items():
             # word[normal_from:] holds no redex
             normal_from = len(word) - 1
-            while normal_from > 0 and (word[normal_from - 1], word[normal_from]) not in table:
+            while normal_from > 0 and table[word[normal_from - 1]][word[normal_from]] is None:
                 normal_from -= 1
             heads = {w: _qmul(c, coeff) for w, c in left._terms.items()}
             for j, x in enumerate(word):
                 pending, grown = {}, {}
                 for w, c in heads.items():
-                    if w and (w[-1], x) in table:
+                    if w and table[w[-1]][x] is not None:
                         pos = len(w) - 1
                         pending[w + (x,)] = [c, pos, pos]
                     elif j >= normal_from:
@@ -466,7 +481,7 @@ class _NormalProduct:
             word, (coeff, lo, hi) = pending.popitem()
             hi = min(hi, len(word) - 2)
             pos = lo
-            while pos <= hi and (word[pos], word[pos + 1]) not in table:
+            while pos <= hi and table[word[pos]][word[pos + 1]] is None:
                 pos += 1
             if pos > hi:
                 _qmerge(done, word, coeff)
@@ -477,7 +492,7 @@ class _NormalProduct:
             head = word[:pos]
             tail = word[pos + 2 :]
             lo = max(pos - 1, 0)
-            for factor, repl in table[word[pos], word[pos + 1]]:
+            for factor, repl in table[word[pos]][word[pos + 1]]:
                 # R4's empty replacement shifts the pairs right of it by two
                 new_hi = max(pos + 1, hi) if repl else max(pos - 1, hi - 2)
                 new_word = head + repl + tail
@@ -612,10 +627,31 @@ def _compare_strategies(
 
     Differing normal forms or broken weight homogeneity are recorded in
     ``report``; ``StepBudgetExceeded`` propagates to the caller.
+
+    The random run is made only if the leftmost run met a choice, that is
+    called its ``pick``.  Otherwise it would repeat the leftmost run step
+    for step: ``_reduce`` calls ``pick`` only for a word with two or more
+    redexes, so if the leftmost run never did, then by induction on the
+    steps the random run starts from the same pending terms, pops the same
+    word each time, rewrites the same redex (the only one) and merges the
+    same terms in the same order.  It ends with the same normal form and
+    step count, never exceeds the budget the leftmost run kept, and draws
+    nothing from ``rng``, so skipping it changes no report and no later
+    choice.
     """
     start = {word: {0: 1}}
-    left, left_steps = _reduce(start, n, _leftmost, ALL_RULES, cap)
-    rand, rand_steps = _reduce(start, n, rng.choice, ALL_RULES, cap)
+    met_choice = False
+
+    def leftmost(redexes):
+        nonlocal met_choice
+        met_choice = True
+        return redexes[0]
+
+    left, left_steps = _reduce(start, n, leftmost, ALL_RULES, cap)
+    if met_choice:
+        rand, rand_steps = _reduce(start, n, rng.choice, ALL_RULES, cap)
+    else:
+        rand, rand_steps = left, left_steps
     report.max_steps = max(report.max_steps, left_steps, rand_steps)
     shift = n + 1
     degree = _weight(word, shift)
@@ -634,8 +670,10 @@ def fuzz_confluence(
 ) -> ReductionReport:
     """Empirical local-confluence check of the oriented system.
 
-    Each random word is reduced twice, once leftmost-innermost and once
-    with seeded random redex selection; differing normal forms, broken
+    Each random word is reduced leftmost-innermost and, if that run met a
+    choice of redex, again with seeded random redex selection (a word
+    whose leftmost run meets no choice is reduced once, see
+    ``_compare_strategies``); differing normal forms, broken
     weight homogeneity, or an exhausted step budget are recorded as
     mismatches.  Deterministic for a fixed seed: the words come from
     ``random.Random(seed)`` and the redex choices from a second stream
@@ -662,10 +700,11 @@ def fuzz_confluence(
 
 
 def exhaustive_pair_check(n: int, step_cap: int | None = None) -> ReductionReport:
-    """Reduce every two-letter word under both strategies, exhaustively.
+    """Reduce every two-letter word through ``_compare_strategies``.
 
-    A two-letter word holds at most one redex, so the random strategy is
-    immaterial and this checks agreement of all rule orientations on
+    No word reached from a two-letter word holds two redexes, so the
+    leftmost run meets no choice and each word is reduced once; the
+    random strategy is immaterial and this checks all rule orientations on
     overlap-free inputs and the weight homogeneity of every rule.  It
     cannot detect an overlap failure: an ambiguity needs two redexes
     that share a letter, which takes a word of at least three letters.

@@ -65,6 +65,23 @@ def nc_polys(draw, max_n=3, max_words=3, max_len=4, min_n=1):
     return NCPoly.from_terms(n, terms)
 
 
+def left_sides(table):
+    """The redex pairs of a rows-form rewrite table, mapped to their replacements."""
+    return {
+        (a, b): terms
+        for a, row in enumerate(table)
+        for b, terms in enumerate(row)
+        if terms is not None
+    }
+
+
+def set_entry(table, a, b, terms):
+    """A copy of the rows of ``table`` whose entry at ``(a, b)`` is ``terms``."""
+    rows = [list(row) for row in table]
+    rows[a][b] = terms
+    return rows
+
+
 def sphere_point(rng, n):
     """Exact rationals with sum(x_m * y_m) == 1; the classical sphere at q=1."""
     xs = [Fraction(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(n + 1)]
@@ -384,7 +401,7 @@ class TestRelations:
         # the reordering and the sphere relation, and in their s3 images
         real = sphere._rewrite_table
         broken = (({0: 1}, (0, 2)), ({-4: 1, 0: -1}, (3, 1)))
-        patched = lambda n, rules: {**real(n, rules), (2, 0): broken}
+        patched = lambda n, rules: set_entry(real(n, rules), 2, 0, broken)
         monkeypatch.setattr(sphere, "_rewrite_table", patched)
         residue = "(q^-4 - q^-2)*z1s*z1"
         assert verify_defining_relations(1).mismatches == [
@@ -399,7 +416,10 @@ class TestRewriteTable:
     @pytest.mark.parametrize("n", range(7))
     def test_left_sides_are_the_non_normal_pairs(self, n):
         # R1 and R2 have n(n+1) left sides each, R3 n+1 and R4 one
-        sizes = [len(sphere._rewrite_table(n, frozenset({r}))) for r in ("R1", "R2", "R3", "R4")]
+        sizes = [
+            len(left_sides(sphere._rewrite_table(n, frozenset({r}))))
+            for r in ("R1", "R2", "R3", "R4")
+        ]
         assert sizes == [n * (n + 1), n * (n + 1), n + 1, 1]
 
         def normal(a, b):
@@ -410,7 +430,7 @@ class TestRewriteTable:
 
         letters = [Generator(i, s) for i in range(n + 1) for s in (True, False)]
         expected = {(a, b) for a in letters for b in letters if not normal(a, b)}
-        table = sphere._rewrite_table(n, ALL_RULES)
+        table = left_sides(sphere._rewrite_table(n, ALL_RULES))
         assert {tuple(sphere._decode(c, n) for c in pair) for pair in table} == expected
 
 
@@ -422,9 +442,9 @@ class TestOverlaps:
         for n in range(1, 9):
             table = sphere._rewrite_table(n, ALL_RULES)
             count = 0
-            for (a, b), via_ab in table.items():
+            for (a, b), via_ab in left_sides(table).items():
                 for c in range(2 * n + 2):
-                    via_bc = table.get((b, c))
+                    via_bc = table[b][c]
                     if via_bc is None:
                         continue
                     count += 1
@@ -507,10 +527,9 @@ class TestFuzz:
         reorder, broken = {-2: 1, 0: -1}, {-4: 1, 0: -1}
 
         def broken_table(n, rules):
-            table = dict(real(n, rules))
-            pair = (n + 1, 0)
-            table[pair] = tuple((broken if f == reorder else f, w) for f, w in table[pair])
-            return table
+            table = real(n, rules)
+            terms = tuple((broken if f == reorder else f, w) for f, w in table[n + 1][0])
+            return set_entry(table, n + 1, 0, terms)
 
         monkeypatch.setattr(sphere, "_rewrite_table", broken_table)
         report = fuzz_confluence(1, 4, 200, seed=1)
@@ -526,9 +545,64 @@ class TestFuzz:
         # agree, but the weight drops from 2 to -1
         real = sphere._rewrite_table
         broken = (({-1: 1}, (0,)),)
-        patched = lambda n, rules: {**real(n, rules), (3, 2): broken}
+        patched = lambda n, rules: set_entry(real(n, rules), 3, 2, broken)
         monkeypatch.setattr(sphere, "_rewrite_table", patched)
         assert exhaustive_pair_check(1).mismatches == [("z1*z0", "weight -1", "weight 2")]
+
+
+def compare_both(word, n, rng, cap, report):
+    """``_compare_strategies`` without its shortcut: the random run is always made."""
+    start = {word: {0: 1}}
+    left, left_steps = _reduce(start, n, _leftmost, ALL_RULES, cap)
+    rand, rand_steps = _reduce(start, n, rng.choice, ALL_RULES, cap)
+    report.max_steps = max(report.max_steps, left_steps, rand_steps)
+    shift = n + 1
+    degree = sphere._weight(word, shift)
+    rendered = sphere._render_word(word, n)
+    if left != rand:
+        report.mismatches.append((rendered, str(NCPoly(n, left)), str(NCPoly(n, rand))))
+    elif left and {sphere._weight(w, shift) for w in left} != {degree}:
+        weight = NCPoly(n, left).u1_degree()
+        report.mismatches.append((rendered, f"weight {weight}", f"weight {degree}"))
+
+
+class TestChoiceFreeShortcut:
+    # a word whose leftmost run meets no choice gets no random run; the
+    # report and the choice stream must be those of running both
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("table", ["sound", "broken reorder", "broken weight"])
+    def test_matches_running_both_strategies(self, monkeypatch, n, table):
+        real = sphere._rewrite_table
+        reorder, broken = {-2: 1, 0: -1}, {-4: 1, 0: -1}
+
+        def patched(n, rules):
+            rows = real(n, rules)
+            if table == "broken reorder":  # R3 on z0 z0s with q^-4 - 1, as above
+                terms = tuple((broken if f == reorder else f, w) for f, w in rows[n + 1][0])
+                return set_entry(rows, n + 1, 0, terms)
+            if table == "broken weight":  # R1 on z1 z0 rewritten to z0s, as above
+                return set_entry(rows, n + 2, n + 1, (({-1: 1}, (0,)),))
+            return rows
+
+        monkeypatch.setattr(sphere, "_rewrite_table", patched)
+        cap = sphere.DEFAULT_STEP_CAP
+        got, want = sphere.ReductionReport(), sphere.ReductionReport()
+        rng, ref_rng = random.Random(1), random.Random(1)
+        choice_free = 0
+        words = [w for k in range(5) for w in product(range(2 * n + 2), repeat=k)]
+        for word in words:
+            asked = []
+            _reduce({word: {0: 1}}, n, lambda r: asked.append(r) or r[0], ALL_RULES, cap)
+            before = rng.getstate()
+            sphere._compare_strategies(word, n, rng, cap, got)
+            compare_both(word, n, ref_rng, cap, want)
+            assert got.as_dict() == want.as_dict(), word
+            assert rng.getstate() == ref_rng.getstate(), word
+            if not asked:
+                choice_free += 1
+                assert rng.getstate() == before, word
+        assert 0 < choice_free < len(words)
+        assert got.passed == (table == "sound")
 
 
 class TestStepBudget:

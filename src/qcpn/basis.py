@@ -64,7 +64,7 @@ def _basis_row(n: int, m: int, lines: dict) -> list[int]:
 
     The unit at ``m = 0``, ``line(n, 1) - 1`` at ``m = 1`` (the bundle of the
     single weight 1), and the rank-``m`` associated class minus ``m`` above.
-    ``lines`` caches line classes as in ``associated_class``.  The weights
+    ``lines`` caches line classes as in ``_counted_class``.  The weights
     of ``fundamental_weights(m)`` are passed as their multiplicities.
     """
     if m == 0:

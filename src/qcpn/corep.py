@@ -42,30 +42,30 @@ def satisfies_determinant_condition(weights) -> bool:
     return sum(map(index, weights)) == 0
 
 
-def associated_class(n: int, weights, lines: dict | None = None) -> TruncatedPoly:
+def associated_class(n: int, weights) -> TruncatedPoly:
     """K-class of the vector bundle associated to a multiset of weights.
 
     ``weights`` is any nonempty iterable of ints, in any order.
     Weightwise cotensor: each weight ``lam`` contributes the line class of
     the degree-``lam`` spectral subspace, and the scaled line rows are
-    summed as whole rows, one per distinct weight.  ``lines`` maps weights
-    to their line classes of order ``n``; the classes it lacks are built
-    and added, so callers that pass one dict build each line class once.
+    summed as whole rows, one per distinct weight.
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
     counts = Counter(map(index, weights))
     if not counts:
         raise ValueError("weight vector must be nonempty")
-    return TruncatedPoly._raw(n, tuple(_counted_class(n, counts, {} if lines is None else lines)))
+    return TruncatedPoly._raw(n, tuple(_counted_class(n, counts, {})))
 
 
 def _counted_class(n: int, counts, lines: dict) -> list[int]:
     """Coefficients of the class of weights with multiplicities ``counts``.
 
     ``counts`` maps each weight to a positive multiplicity, so a caller
-    that knows them lists no weight one by one; ``lines`` is as in
-    ``associated_class``.  Returns a new list.
+    that knows them lists no weight one by one.  ``lines`` maps weights
+    to their line classes of order ``n``; the classes it lacks are built
+    and added, so callers that pass one dict build each line class once.
+    Returns a new list.
     """
     total = None
     for lam, mult in counts.items():

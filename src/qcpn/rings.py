@@ -89,8 +89,6 @@ def _qadd(a: dict, b: dict) -> dict:
 
 def _qmul(a: dict, b: dict) -> dict:
     """The exponent map of ``a * b`` as a new dict, zero sums dropped."""
-    if not a or not b:
-        return {}
     # single-monomial factors dominate in the rewrite engines
     if len(b) == 1:
         ((e2, c2),) = b.items()

@@ -30,11 +30,10 @@ pair of codes ``(a, b)``, or ``None`` if the pair is normal.  The
 letter-append product ``_NormalProduct`` serves ``normal_form``,
 ``project_to_s3``, ``nc reduce`` and the parser: the product of two
 normal forms feeds the letters of the right factor one at a time into
-the normal terms of the left one.  A normal word with one letter
-appended can hold a redex only at the junction, and each rewrite can
-create redexes only next to the pair it replaced, so the redex search
-never rescans a word, and the free product of an expression is never
-expanded.
+the normal terms of the left one.  Each pending word carries the bound
+of the ``_NormalProduct`` docstring, before which it holds no redex, so
+the redex search skips the word's normal front, and the free product of
+an expression is never expanded.
 
 The checks run only the pair rewriter ``_reduce``: the strategy
 comparisons of ``fuzz_confluence`` and ``exhaustive_pair_check``, and
@@ -48,8 +47,8 @@ whose leftmost run never asked would repeat it step for step;
 because each merged form was slower on one workload (measured on a
 2-vCPU Xeon VM): running the letter-append through the full redex scan
 made ``z1^3000*z0`` 8x slower (0.22 to 1.67 s), and giving ``_reduce``
-the windows of ``_settle`` made the ``nc-fuzz`` benchmark 11-33 %
-slower.
+the two-sided windows ``_settle`` then kept made the ``nc-fuzz``
+benchmark 11-33 % slower.
 
 Every coefficient, in ``NCPoly``, in the rewrite table and in both
 engines, has one representation: an exponent map ``{e: c}`` for
@@ -421,17 +420,22 @@ class _NormalProduct:
     """The normal-form product ``nf(left * right)`` for normal ``left``.
 
     The letters of each word of ``right`` are appended one at a time to
-    the normal terms built so far.  Appending to a normal word can only
-    create a redex at the junction, and a rewrite at pair ``p`` can only
-    create redexes at the pairs it touched: ``p-1 .. p+1`` after a
-    two-letter replacement, ``p-1`` after R4's empty one.  Each pending
-    word therefore carries an interval of pair positions holding all its
-    redexes: the junction at first, then after a rewrite at the leftmost
-    redex ``p`` the span from ``p-1`` to the farther of the touched pairs
-    and the old interval's end.  The leftmost redex is looked for only
-    there.  Equal words are merged after every letter.  Once the junction
-    of a normal term holds no redex and the rest of the right word is
-    normal, the term takes that rest in one concatenation.
+    the normal terms built so far, and equal words are merged after every
+    letter.  Once the junction of a normal term holds no redex and the
+    rest of the right word is normal, the term takes that rest in one
+    concatenation.
+
+    Each pending word carries a bound ``lo`` before which it holds no
+    redex, and the leftmost redex is looked for from ``lo`` to the last
+    pair.  A normal word with one letter appended starts at the
+    junction, its last pair; a rewrite at the leftmost redex ``p`` leaves
+    the pairs before ``p - 1`` alone, so the words it makes start at
+    ``p - 1`` (or 0); a merge keeps the pending entry's bound, which
+    holds for the same word.  An end bound ``hi`` would add nothing: by
+    induction it is never below the word's last pair.  It starts at the
+    junction; a rewrite at ``p`` sets it to ``max(p + 1, hi)``, or to
+    ``max(p - 1, hi - 2)`` for R4's empty replacement, each at least the
+    new word's last pair; a merge keeps an entry of the same word.
 
     One instance is one computation: every rewrite of every product it
     forms counts against the same step budget.
@@ -456,8 +460,7 @@ class _NormalProduct:
                 pending, grown = {}, {}
                 for w, c in heads.items():
                     if w and table[w[-1]][x] is not None:
-                        pos = len(w) - 1
-                        pending[w + (x,)] = [c, pos, pos]
+                        pending[w + (x,)] = [c, len(w) - 1]
                     elif j >= normal_from:
                         _qmerge(out, w + word[j:], c)
                     else:
@@ -473,17 +476,17 @@ class _NormalProduct:
     def _settle(self, pending: dict, done: dict) -> dict:
         """Rewrite ``pending`` words to normal form, merging them into ``done``.
 
-        A pending word maps to ``[coefficient, lo, hi]``: every redex of
-        the word lies at a pair position in ``lo .. hi``.
+        A pending word maps to ``[coefficient, lo]``, ``lo`` the bound of
+        the class docstring.
         """
         table = self.table
         while pending:
-            word, (coeff, lo, hi) = pending.popitem()
-            hi = min(hi, len(word) - 2)
+            word, (coeff, lo) = pending.popitem()
+            last = len(word) - 2
             pos = lo
-            while pos <= hi and table[word[pos]][word[pos + 1]] is None:
+            while pos <= last and table[word[pos]][word[pos + 1]] is None:
                 pos += 1
-            if pos > hi:
+            if pos > last:
                 _qmerge(done, word, coeff)
                 continue
             self.steps += 1
@@ -493,14 +496,12 @@ class _NormalProduct:
             tail = word[pos + 2 :]
             lo = max(pos - 1, 0)
             for factor, repl in table[word[pos]][word[pos + 1]]:
-                # R4's empty replacement shifts the pairs right of it by two
-                new_hi = max(pos + 1, hi) if repl else max(pos - 1, hi - 2)
                 new_word = head + repl + tail
                 new_coeff = _qmul(coeff, factor)
                 entry = pending.get(new_word)
                 if entry is None:
-                    pending[new_word] = [new_coeff, lo, new_hi]
-                else:  # either window holds every redex of the word
+                    pending[new_word] = [new_coeff, lo]
+                else:  # either bound holds for the word
                     entry[0] = _qadd(entry[0], new_coeff)
                     if not entry[0]:
                         del pending[new_word]

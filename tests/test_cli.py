@@ -4,6 +4,7 @@ import gc
 import hashlib
 import io
 import json
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -213,7 +214,9 @@ class TestClassBudgets:
         ("restrict", "--n", "400", "--line", "1000000", "--target", "3"),
     ])
     def test_budget_limits_accepted(self, capsys, argv):
-        invoke_json(capsys, *argv)
+        # the caps bound the output: no coefficient has more than 1532 digits
+        env = invoke_json(capsys, *argv)
+        assert max(map(len, re.findall(r"\d+", json.dumps(env)))) <= 1532
 
     def test_rank_refused_before_any_weight(self, capsys, monkeypatch):
         import qcpn.corep

@@ -246,7 +246,7 @@ class TestMergeOrder:
     def test_settle_drops_a_cancelled_pending_word(self):
         # z0 z0s is popped first; its z1 z1s term cancels the pending one
         settled = _NormalProduct(1)._settle(
-            {(3, 1): [{0: 1, -2: -1}, 0, 0], (2, 0): [{0: 1}, 0, 0]}, {}
+            {(3, 1): [{0: 1, -2: -1}, 0], (2, 0): [{0: 1}, 0]}, {}
         )
         assert settled == {(): {0: 1}, (1, 3): {-2: -1}}
         p = word_poly(1, [(0, False), (0, True)]) + LaurentQ({0: 1, -2: -1}) * word_poly(
@@ -254,6 +254,19 @@ class TestMergeOrder:
         )
         assert normal_form(p) == NCPoly(1, settled)
         assert str(normal_form(p)) == "1 - q^-2*z1s*z1"
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_engines_agree_on_one_appended_letter(self, n):
+        # every normal word of at most 4 letters, R4 firing mid-word included
+        table = sphere._rewrite_table(n, ALL_RULES)
+        letters = range(2 * n + 2)
+        words = [w for k in range(5) for w in product(letters, repeat=k)]
+        normal = [w for w in words if all(table[a][b] is None for a, b in zip(w, w[1:]))]
+        for u, x in product(normal, letters):
+            mul = _NormalProduct(n)
+            got = mul(NCPoly._raw(n, {u: {0: 1}}), NCPoly._raw(n, {(x,): {0: 1}}))
+            terms, steps = _reduce({u + (x,): {0: 1}}, n, _leftmost, ALL_RULES, 1000)
+            assert (got._terms, mul.steps) == (terms, steps), (u, x)
 
 
 class TestJunctionDerivation:

@@ -8,7 +8,13 @@ step-budget hits, or degree violations.  Small spaces additionally get an
 exhaustive sweep over all two-letter words under the same step budget; a
 sweep that runs out of budget counts as a failed report.  Exit code 0 means
 every reduction agreed; an invalid ``QCPN_STEP_CAP`` prints ``error: ...``
-and exits 1.
+and exits 1; a usage error exits 2.
+
+Sizes are capped as ``qcpn nc fuzz`` caps them: ``--max-n`` at most
+``qcpn.cli.MAX_NC_N`` (the rewrite table grows as n^2) and ``--max-len``
+at most ``qcpn.cli.MAX_FUZZ_LEN``.  ``--trials`` is not capped, because it
+sets how long a campaign runs; each word it draws is bounded by the two
+caps and by the step budget.
 
 Usage:
     python3 scripts/fuzz_campaign.py
@@ -21,6 +27,7 @@ import argparse
 import sys
 import time
 
+from qcpn.cli import MAX_FUZZ_LEN, MAX_NC_N
 from qcpn.sphere import StepBudgetExceeded, _step_cap, exhaustive_pair_check, fuzz_confluence
 
 
@@ -41,6 +48,10 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     args = parser.parse_args(argv)
     if args.min_n < 1 or args.max_n < args.min_n:
         parser.error("need 1 <= min-n <= max-n")
+    if args.max_n > MAX_NC_N:
+        parser.error(f"--max-n must be at most {MAX_NC_N}, got {args.max_n}")
+    if args.max_len > MAX_FUZZ_LEN:
+        parser.error(f"--max-len must be at most {MAX_FUZZ_LEN}, got {args.max_len}")
     if args.trials < 1 or args.max_len < 2:
         parser.error("need positive --trials and --max-len >= 2")
     if args.step_cap is not None and args.step_cap < 1:

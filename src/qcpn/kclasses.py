@@ -55,4 +55,4 @@ def restrict(c: TruncatedPoly, n_target: int) -> TruncatedPoly:
         raise ValueError(
             f"restriction target must satisfy 1 <= n_target <= {c.n}, got {n_target}"
         )
-    return c.truncate(n_target)
+    return TruncatedPoly._raw(n_target, c.coeffs[: n_target + 1])

@@ -265,8 +265,6 @@ class TruncatedPoly(_Ring):
 
     ``coeffs[k]`` is the coefficient of ``t^k``; the tuple always has
     length ``n + 1``.  Instances are immutable and safe to share.
-    ``coeffs`` may itself be a ``TruncatedPoly``, but only of order ``n``;
-    a lower-order element is rejected rather than padded with zeros.
     """
 
     __slots__ = ("n", "coeffs")
@@ -276,12 +274,6 @@ class TruncatedPoly(_Ring):
     def __init__(self, n: int, coeffs: Iterable[int] = ()):
         if n < 0:
             raise ValueError("truncation order must be nonnegative")
-        if isinstance(coeffs, TruncatedPoly):
-            if coeffs.n != n:
-                raise TruncationMismatchError(
-                    f"polynomial order {coeffs.n} does not match n={n}"
-                )
-            coeffs = coeffs.coeffs
         cs = [index(c) for c in coeffs]
         if len(cs) > n + 1:
             raise ValueError(
@@ -371,14 +363,6 @@ class TruncatedPoly(_Ring):
             s = sum(a[i] * b[k - i] for i in range(1, k + 1))
             b[k] = -a[0] * s  # division by a0 is multiplication by a0
         return TruncatedPoly(n, b)
-
-    def truncate(self, n_target: int) -> "TruncatedPoly":
-        """Image in ``Z[t] / t^(n_target+1)`` for ``n_target <= n``."""
-        if n_target > self.n:
-            raise TruncationMismatchError(
-                f"cannot truncate order {self.n} up to order {n_target}"
-            )
-        return TruncatedPoly(n_target, self.coeffs[: n_target + 1])
 
     def as_dict(self) -> dict:
         """JSON form with coefficients as decimal strings (never floats)."""

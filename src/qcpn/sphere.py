@@ -45,10 +45,12 @@ only for a word with two or more redexes, so the random run of a word
 whose leftmost run never asked would repeat it step for step;
 ``_compare_strategies`` skips that run.  The two loops stay apart
 because each merged form was slower on one workload (measured on a
-2-vCPU Xeon VM): running the letter-append through the full redex scan
-made ``z1^3000*z0`` 8x slower (0.22 to 1.67 s), and giving ``_reduce``
-the two-sided windows ``_settle`` then kept made the ``nc-fuzz``
-benchmark 11-33 % slower.
+2-vCPU Xeon VM, Python 3.11): running the letter-append through the full
+redex scan made ``z1^3000*z0`` 8x slower (0.22 to 1.67 s), and one shared
+loop with the one-sided bound ``lo``, whose redex list starts at ``lo``
+when a strategy is given, made the ``nc-fuzz`` benchmark slower in 6 of 6
+seeds (``wall_s`` median 0.88 to 1.00 s) and ``fuzz_confluence`` about
+17 % slower in process, with unchanged step counts.
 
 Every coefficient, in ``NCPoly``, in the rewrite table and in both
 engines, has one representation: an exponent map ``{e: c}`` for
@@ -442,6 +444,8 @@ class _NormalProduct:
     """
 
     def __init__(self, n: int, rules: frozenset = ALL_RULES, step_cap: int | None = None):
+        if n < 0:
+            raise ValueError("ambient index n must be nonnegative")
         self.n = n
         self.table = _rewrite_table(n, frozenset(rules))
         self.cap = _step_cap(step_cap)

@@ -23,7 +23,7 @@ from qcpn.basis import (
     nesting_check,
 )
 from qcpn.corep import associated_class, fundamental_decomposition, fundamental_weights
-from qcpn.kclasses import KClass, line_class
+from qcpn.kclasses import line_class
 from qcpn.pairing import index_pairing, pairing_matrix
 from qcpn.rings import LaurentQ, TruncatedPoly
 from qcpn.sphere import (
@@ -100,7 +100,7 @@ def test_criterion_04_pairing_identities(report):
         checked = 0
         for n in range(1, 17):
             taut = line_class(n, -1)
-            powers = [KClass(n, TruncatedPoly.t(n) ** j) for j in range(n + 1)]
+            powers = [TruncatedPoly.t(n) ** j for j in range(n + 1)]
             for m in range(0, 31):
                 c = line_class(n, m)
                 for k in range(n + 1):

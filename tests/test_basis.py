@@ -459,7 +459,7 @@ class TestCertificates:
         coeffs = data.draw(
             st.lists(st.integers(-50, 50), min_size=n + 1, max_size=n + 1)
         )
-        c = KClass(n, TruncatedPoly(n, coeffs))
+        c = TruncatedPoly(n, coeffs)
         coords = certify_basis(n).coordinates_of(c)
         rebuilt = KClass.zero(n)
         for j, x in enumerate(coords):

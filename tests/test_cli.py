@@ -298,6 +298,7 @@ class TestNC:
             (["fuzz", "--n", "1", "--max-len", "13", "--trials", "1", "--seed", "1"],
              "max_len must be at most 12, got 13"),
             (["relations", "--n", "49"], "ambient index must be at most 48, got 49"),
+            (["reduce", "--n", "-1", "--expr", "z0"], "ambient index n must be nonnegative"),
         ],
     )
     def test_size_budgets_refuse_before_the_table(self, capsys, monkeypatch, argv, message):

@@ -12,7 +12,7 @@ from qcpn.rings import TruncatedPoly
 
 
 def t_power(n, j):
-    return KClass(n, TruncatedPoly.t(n) ** j)
+    return TruncatedPoly.t(n) ** j
 
 
 class TestIndexPairing:
@@ -64,8 +64,8 @@ class TestIndexPairing:
         st.lists(st.integers(-9, 9), max_size=7),
     )
     def test_linear(self, n, cs, ds):
-        a = KClass(n, TruncatedPoly(n, cs[: n + 1]))
-        b = KClass(n, TruncatedPoly(n, ds[: n + 1]))
+        a = TruncatedPoly(n, cs[: n + 1])
+        b = TruncatedPoly(n, ds[: n + 1])
         for k in range(n + 1):
             assert index_pairing(k, a + b) == index_pairing(k, a) + index_pairing(k, b)
 

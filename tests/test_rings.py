@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qcpn.corep import associated_class
-from qcpn.kclasses import line_class
+from qcpn.kclasses import line_class, restrict
 from qcpn.rings import (
     LaurentQ,
     NotInvertibleError,
@@ -149,13 +149,6 @@ class TestTruncatedPoly:
         with pytest.raises(NotInvertibleError):
             TruncatedPoly(2, (0, 1)).invert_unit()
 
-    def test_truncate_examples(self):
-        p = TruncatedPoly(3, (1, 2, 3, 4))
-        assert p.truncate(1).coeffs == (1, 2)
-        assert p.truncate(3) is not p and p.truncate(3) == p
-        with pytest.raises(TruncationMismatchError):
-            p.truncate(4)
-
     def test_str(self):
         table = [
             (TruncatedPoly(3, (1, 0, -2, 1)), "1 - 2*t^2 + t^3"),
@@ -209,11 +202,11 @@ class TestTruncatedPoly:
         assert u * u.invert_unit() == TruncatedPoly.one(a.n)
 
     @given(truncated_pair())
-    def test_truncate_is_ring_map(self, pair):
+    def test_restrict_is_ring_map(self, pair):
         a, b = pair
-        for k in range(a.n + 1):
-            assert (a * b).truncate(k) == a.truncate(k) * b.truncate(k)
-            assert (a + b).truncate(k) == a.truncate(k) + b.truncate(k)
+        for k in range(1, a.n + 1):
+            assert restrict(a * b, k) == restrict(a, k) * restrict(b, k)
+            assert restrict(a + b, k) == restrict(a, k) + restrict(b, k)
 
     def test_negative_pow_rejected(self):
         with pytest.raises(ValueError):

@@ -107,3 +107,13 @@ class TestFuzzCampaign:
             fuzz_campaign.parse_args(["--step-cap", cap])
         assert exc.value.code == 2
         assert "--step-cap >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, bound", [("--max-n", 200), ("--max-len", 12)])
+    def test_size_above_budget_is_a_usage_error(self, fuzz_campaign, capsys, flag, bound):
+        fuzz_campaign.parse_args([flag, str(bound)])  # the caps of qcpn nc fuzz themselves pass
+        with pytest.raises(SystemExit) as exc:
+            fuzz_campaign.parse_args([flag, str(bound + 1)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: {flag} must be at most {bound}, got {bound + 1}\n"
+        )

@@ -24,15 +24,17 @@ genuinely non-confluent.)  Confluence of the chosen orientation is still
 not proven here; ``fuzz_confluence`` compares two reduction strategies on
 random words and reports any disagreement instead of repairing it.
 
-Two engines share the rewrite table, ``_rewrite_table``: ``2n+2`` rows
-of ``2n+2`` entries, where ``table[a][b]`` is the replacement of the
-pair of codes ``(a, b)``, or ``None`` if the pair is normal.  The
-letter-append product ``_NormalProduct`` serves ``normal_form``,
-``project_to_s3``, ``nc reduce`` and the parser: the product of two
-normal forms feeds the letters of the right factor one at a time into
-the normal terms of the left one.  Each pending word carries the bound
-of the ``_NormalProduct`` docstring, before which it holds no redex, so
-the redex search skips the word's normal front, and the free product of
+Two engines run on the rewrite table of ``_rewrite_table``: ``2n+2`` rows
+of ``2n+2`` entries, where ``table[a][b]`` is the replacement of the pair
+of codes ``(a, b)``, or ``None`` if the pair is normal.  Each computation
+builds one table and passes it down, and nothing keeps it after: a table
+holds O(n^3) entries, so a cache of all the tables a fuzz campaign built
+grew as O(n^4).  The letter-append product ``_NormalProduct`` serves
+``normal_form``, ``project_to_s3``, ``nc reduce`` and the parser: the
+product of two normal forms feeds the letters of the right factor one at a
+time into the normal terms of the left one.  Each pending word carries the
+bound of the ``_NormalProduct`` docstring, before which it holds no redex,
+so the redex search skips the word's normal front, and the free product of
 an expression is never expanded.
 
 The checks run only the pair rewriter ``_reduce``: the strategy
@@ -76,7 +78,6 @@ from __future__ import annotations
 
 import os
 import random
-from functools import lru_cache
 from itertools import product
 from operator import index
 from types import SimpleNamespace
@@ -136,8 +137,13 @@ def _weight(word: tuple[int, ...], shift: int) -> int:
     return sum(1 if c >= shift else -1 for c in word)
 
 
+def _letter_names(words: Iterable[tuple[int, ...]], n: int) -> dict[int, str]:
+    """Each code present in ``words``, never the whole alphabet, mapped to its letter."""
+    return {c: str(_decode(c, n)) for c in set().union(*words)}
+
+
 def _render_word(word: tuple[int, ...], n: int) -> str:
-    return "*".join(str(_decode(c, n)) for c in word)
+    return "*".join(map(_letter_names((word,), n).get, word))
 
 
 def _qmap(c) -> dict:
@@ -316,7 +322,7 @@ class NCPoly(_Ring):
     # -- rendering ----------------------------------------------------------
 
     def __str__(self) -> str:
-        bodies = []
+        names, bodies = _letter_names(self._terms, self.n), []
         for word in sorted(self._terms, key=lambda w: (len(w), w)):
             coeff = self._terms[word]
             if len(coeff) > 1:
@@ -324,7 +330,7 @@ class NCPoly(_Ring):
             else:
                 ((e, sign),) = coeff.items()
                 body = _monomial(sign, "q", e)
-            word_str = _render_word(word, self.n)
+            word_str = "*".join(map(names.get, word))
             if word_str:
                 body = word_str if body == "1" else f"{body}*{word_str}"
             bodies.append((sign, body))
@@ -337,42 +343,38 @@ class NCPoly(_Ring):
 # -- rule machinery ---------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _rewrite_table(n: int, rules: frozenset) -> list:
     """The rewrite table of ``rules`` as ``2n+2`` rows of ``2n+2`` entries.
 
     ``table[a][b]`` holds the replacement terms ``((factor, subword), ...)``
-    of the pair ``(a, b)`` of codes, or ``None`` for a normal pair, so
-    both engines find a redex by indexing two lists, without building and
-    hashing a pair.  Each family is written from its left side, as R1-R4
-    of the module docstring state it.  Each factor is an exponent map
-    that every caller shares, so no engine may hand one out as a
+    of the pair ``(a, b)`` of codes, or ``None`` for a normal pair, so both
+    engines find a redex by indexing two lists, without building and hashing a
+    pair.  Only the families in ``rules`` are built, each written from its
+    left side, as R1-R4 of the module docstring state it.  Each factor is an
+    exponent map that the entries share, so no engine may hand one out as a
     coefficient.  R3 and R4 list their sums from the top index down: both
-    engines pop the word inserted last, so the lowest index is rewritten
-    first and the words it creates merge into pending entries, and
-    ``z_0 z*_0`` takes n + 2 steps, not 2^n + 1.
+    engines pop the word inserted last, so the lowest index is rewritten first
+    and the words it creates merge into pending entries, and ``z_0 z*_0``
+    takes n + 2 steps, not 2^n + 1.  No cache keeps a table, which holds
+    O(n^3) entries: each computation builds its own (module docstring).
     """
     unknown = rules - ALL_RULES
     if unknown:
         raise ValueError(f"unknown rules: {sorted(unknown)}")
     s = n + 1  # z*_i is code i, z_i is code s + i
     q_inv, q, reorder = {-1: 1}, {1: 1}, {-2: 1, 0: -1}  # q^-1, q, q^-2 - 1
-    pairs = [(i, j) for i in range(s) for j in range(s)]
-    down = lambda lo: reversed(range(lo, s))  # the indices lo .. n, top first
-    families = {
-        "R1": [((s + j, s + i), ((q_inv, (s + i, s + j)),)) for i, j in pairs if j > i]
-        + [((i, j), ((q_inv, (j, i)),)) for i, j in pairs if i < j],
-        "R2": [((s + i, j), ((q, (j, s + i)),)) for i, j in pairs if i != j],
-        "R3": [
-            ((s + i, i), ((_UNIT, (i, s + i)), *((reorder, (s + m, m)) for m in down(i + 1))))
-            for i in range(s)
-        ],
-        "R4": [((0, s), ((_UNIT, ()), *(({-2 * k: -1}, (k, s + k)) for k in down(1))))],
-    }
     rows = [[None] * (2 * s) for _ in range(2 * s)]
-    for rule in rules:
-        for (a, b), terms in families[rule]:
-            rows[a][b] = terms
+    for i in range(s):
+        for j in range(s):
+            if "R1" in rules and i < j:
+                rows[s + j][s + i] = ((q_inv, (s + i, s + j)),)
+                rows[i][j] = ((q_inv, (j, i)),)
+            if "R2" in rules and i != j:
+                rows[s + i][j] = ((q, (j, s + i)),)
+        if "R3" in rules:
+            rows[s + i][i] = ((_UNIT, (i, s + i)), *((reorder, (s + m, m)) for m in range(n, i, -1)))
+    if "R4" in rules:
+        rows[0][s] = ((_UNIT, ()), *(({-2 * k: -1}, (k, s + k)) for k in range(n, 0, -1)))
     return rows
 
 
@@ -382,17 +384,16 @@ def _over_budget(step_cap: int) -> StepBudgetExceeded:
     )
 
 
-def _reduce(terms: dict, n: int, pick, rules: frozenset, step_cap: int) -> tuple[dict, int]:
+def _reduce(terms: dict, table: list, pick, step_cap: int) -> tuple[dict, int]:
     """The pair rewriter on exponent-map coefficients ``{e: c}`` of ``q^e``.
 
-    Drives ``terms`` to normal form under ``rules`` and the redex-picking
-    strategy ``pick``, which chooses one position from the ascending list
-    of the redex positions of a word that holds two or more.  Equal words
-    are merged as they appear; this is sound because reduction is linear
-    over words.  Returns the normal terms and the number of rule
-    applications performed.
+    Drives ``terms`` to normal form on the rewrite ``table`` under the
+    redex-picking strategy ``pick``, which chooses one position from the
+    ascending list of the redex positions of a word that holds two or
+    more.  Equal words are merged as they appear; this is sound because
+    reduction is linear over words.  Returns the normal terms and the
+    number of rule applications performed.
     """
-    table = _rewrite_table(n, frozenset(rules))
     pending = dict(terms)
     done: dict[tuple[int, ...], dict] = {}
     steps = 0
@@ -447,7 +448,7 @@ class _NormalProduct:
         if n < 0:
             raise ValueError("ambient index n must be nonnegative")
         self.n = n
-        self.table = _rewrite_table(n, frozenset(rules))
+        self.table = _rewrite_table(n, rules)
         self.cap = _step_cap(step_cap)
         self.steps = 0
 
@@ -607,11 +608,12 @@ def verify_defining_relations(n: int, step_cap: int | None = None) -> ReductionR
 
     Failures are recorded in the report, never raised.
     """
-    cap = _step_cap(step_cap)
+    cap, relations = _step_cap(step_cap), defining_relations(n)
+    tables = {m: _rewrite_table(m, ALL_RULES) for m in {n, 1}}  # source and S^3 image
     report = ReductionReport()
-    for name, rel in defining_relations(n):
+    for name, rel in relations:
         for label, p in ((name, rel), (f"s3 image of: {name}", _s3_image(rel))):
-            terms, steps = _reduce(p._terms, p.n, _leftmost, ALL_RULES, cap)
+            terms, steps = _reduce(p._terms, tables[p.n], _leftmost, cap)
             report.words += 1
             report.max_steps = max(report.max_steps, steps)
             if terms:
@@ -626,9 +628,9 @@ def _random_word(rng: random.Random, n: int, max_len: int) -> tuple[int, ...]:
 
 
 def _compare_strategies(
-    word: tuple[int, ...], n: int, rng: random.Random, cap: int, report: ReductionReport
+    word: tuple[int, ...], n: int, table: list, rng, cap: int, report: ReductionReport
 ) -> None:
-    """Reduce one word leftmost-innermost and with random redex choice.
+    """Reduce one word leftmost-innermost and with random redex choice on ``table``.
 
     Differing normal forms or broken weight homogeneity are recorded in
     ``report``; ``StepBudgetExceeded`` propagates to the caller.
@@ -652,9 +654,9 @@ def _compare_strategies(
         met_choice = True
         return redexes[0]
 
-    left, left_steps = _reduce(start, n, leftmost, ALL_RULES, cap)
+    left, left_steps = _reduce(start, table, leftmost, cap)
     if met_choice:
-        rand, rand_steps = _reduce(start, n, rng.choice, ALL_RULES, cap)
+        rand, rand_steps = _reduce(start, table, rng.choice, cap)
     else:
         rand, rand_steps = left, left_steps
     report.max_steps = max(report.max_steps, left_steps, rand_steps)
@@ -690,17 +692,15 @@ def fuzz_confluence(
         raise ValueError("max_len must be at least 2")
     if trials < 0:
         raise ValueError("trials must be non-negative")
-    cap = _step_cap(step_cap)
+    cap, table = _step_cap(step_cap), _rewrite_table(n, ALL_RULES)
     rng, choices = random.Random(seed), random.Random(f"{seed}/choices")
     report = ReductionReport(words=trials)
     for _ in range(trials):
         word = _random_word(rng, n, max_len)
         try:
-            _compare_strategies(word, n, choices, cap, report)
+            _compare_strategies(word, n, table, choices, cap, report)
         except StepBudgetExceeded:
-            report.mismatches.append(
-                (_render_word(word, n), "step budget exceeded", "")
-            )
+            report.mismatches.append((_render_word(word, n), "step budget exceeded", ""))
     return report
 
 
@@ -717,10 +717,10 @@ def exhaustive_pair_check(n: int, step_cap: int | None = None) -> ReductionRepor
     """
     if n < 0:
         raise ValueError("ambient index n must be nonnegative")
-    cap = _step_cap(step_cap)
+    cap, table = _step_cap(step_cap), _rewrite_table(n, ALL_RULES)
     top = 2 * (n + 1)
     rng = random.Random(0)
     report = ReductionReport(words=top * top)
     for word in product(range(top), repeat=2):
-        _compare_strategies(word, n, rng, cap, report)
+        _compare_strategies(word, n, table, rng, cap, report)
     return report

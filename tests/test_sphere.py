@@ -17,7 +17,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcpn import sphere
+from qcpn import cli, sphere
 from qcpn.rings import LaurentQ
 from qcpn.sphere import (
     ALL_RULES,
@@ -186,10 +186,11 @@ class TestEngines:
     @pytest.mark.parametrize("rules", [ALL_RULES, R123], ids=["R1-R4", "R1-R3"])
     @pytest.mark.parametrize("n, max_len", [(1, 6), (2, 4)])
     def test_every_short_word_matches_leftmost_rewriting(self, n, max_len, rules):
+        table = sphere._rewrite_table(n, rules)
         for length in range(max_len + 1):
             for word in product(range(2 * n + 2), repeat=length):
                 start = {word: {0: 1}}
-                expected, _ = _reduce(start, n, _leftmost, rules, 10**6)
+                expected, _ = _reduce(start, table, _leftmost, 10**6)
                 got = normal_form(NCPoly(n, start), rules=rules)
                 assert got == NCPoly(n, expected), word
 
@@ -234,7 +235,7 @@ class TestMergeOrder:
         mul = _NormalProduct(n)
         expected = mul(NCPoly.one(n), p)
         assert (expected.term_count(), mul.steps) == (n + 1, n + 2)
-        terms, steps = _reduce(p._terms, n, _leftmost, ALL_RULES, 1000)
+        terms, steps = _reduce(p._terms, sphere._rewrite_table(n, ALL_RULES), _leftmost, 1000)
         assert (NCPoly(n, terms), steps) == (expected, n + 2)
 
     def test_sphere_sum_at_n30(self):
@@ -265,7 +266,7 @@ class TestMergeOrder:
         for u, x in product(normal, letters):
             mul = _NormalProduct(n)
             got = mul(NCPoly._raw(n, {u: {0: 1}}), NCPoly._raw(n, {(x,): {0: 1}}))
-            terms, steps = _reduce({u + (x,): {0: 1}}, n, _leftmost, ALL_RULES, 1000)
+            terms, steps = _reduce({u + (x,): {0: 1}}, table, _leftmost, 1000)
             assert (got._terms, mul.steps) == (terms, steps), (u, x)
 
 
@@ -563,11 +564,11 @@ class TestFuzz:
         assert exhaustive_pair_check(1).mismatches == [("z1*z0", "weight -1", "weight 2")]
 
 
-def compare_both(word, n, rng, cap, report):
+def compare_both(word, n, table, rng, cap, report):
     """``_compare_strategies`` without its shortcut: the random run is always made."""
     start = {word: {0: 1}}
-    left, left_steps = _reduce(start, n, _leftmost, ALL_RULES, cap)
-    rand, rand_steps = _reduce(start, n, rng.choice, ALL_RULES, cap)
+    left, left_steps = _reduce(start, table, _leftmost, cap)
+    rand, rand_steps = _reduce(start, table, rng.choice, cap)
     report.max_steps = max(report.max_steps, left_steps, rand_steps)
     shift = n + 1
     degree = sphere._weight(word, shift)
@@ -598,6 +599,7 @@ class TestChoiceFreeShortcut:
             return rows
 
         monkeypatch.setattr(sphere, "_rewrite_table", patched)
+        rows = sphere._rewrite_table(n, ALL_RULES)
         cap = sphere.DEFAULT_STEP_CAP
         got, want = sphere.ReductionReport(), sphere.ReductionReport()
         rng, ref_rng = random.Random(1), random.Random(1)
@@ -605,10 +607,10 @@ class TestChoiceFreeShortcut:
         words = [w for k in range(5) for w in product(range(2 * n + 2), repeat=k)]
         for word in words:
             asked = []
-            _reduce({word: {0: 1}}, n, lambda r: asked.append(r) or r[0], ALL_RULES, cap)
+            _reduce({word: {0: 1}}, rows, lambda r: asked.append(r) or r[0], cap)
             before = rng.getstate()
-            sphere._compare_strategies(word, n, rng, cap, got)
-            compare_both(word, n, ref_rng, cap, want)
+            sphere._compare_strategies(word, n, rows, rng, cap, got)
+            compare_both(word, n, rows, ref_rng, cap, want)
             assert got.as_dict() == want.as_dict(), word
             assert rng.getstate() == ref_rng.getstate(), word
             if not asked:
@@ -618,6 +620,49 @@ class TestChoiceFreeShortcut:
         assert got.passed == (table == "sound")
 
 
+class TestOneTablePerComputation:
+    """Each computation builds the rewrite table it runs on once, and
+    nothing keeps a table for the next one."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        real, built = sphere._rewrite_table, []
+
+        def counting(n, rules):
+            built.append(n)
+            return real(n, rules)
+
+        monkeypatch.setattr(sphere, "_rewrite_table", counting)
+        return built
+
+    @pytest.mark.parametrize(
+        "check, tables",
+        [
+            (lambda: fuzz_confluence(2, 6, 50, 1), [2]),
+            (lambda: exhaustive_pair_check(2), [2]),
+            (lambda: verify_defining_relations(3), [1, 3]),  # the source and the S^3 image
+            (lambda: verify_defining_relations(1), [1]),
+        ],
+    )
+    def test_each_check_builds_one_table_per_ambient(self, builds, check, tables):
+        assert check().passed
+        assert sorted(builds) == tables
+        check()
+        assert sorted(builds) == sorted(tables * 2)
+
+    def test_one_product_builds_one_table(self, builds):
+        mul, acc = _NormalProduct(2), NCPoly.one(2)
+        for _ in range(5):
+            acc = mul(acc, sphere_sum(2))
+        assert acc == NCPoly.one(2)
+        assert builds == [2]
+
+    def test_nc_reduce_builds_one_table(self, builds, capsys):
+        assert cli.run(["nc", "reduce", "--n", "2", "--expr", "(z0*z0s+z1*z1s)^3*z2s*z2"]) == 0
+        assert '"normal_form"' in capsys.readouterr().out
+        assert builds == [2]
+
+
 class TestStepBudget:
     @pytest.mark.parametrize("strategy", ["leftmost", "random"])
     def test_pair_rewriter_boundary(self, strategy):
@@ -625,7 +670,7 @@ class TestStepBudget:
 
         def reduce(cap):
             pick = _leftmost if strategy == "leftmost" else random.Random(7).choice
-            return _reduce(start, 1, pick, ALL_RULES, cap)
+            return _reduce(start, sphere._rewrite_table(1, ALL_RULES), pick, cap)
 
         terms, k = reduce(10**6)
         assert k > 1
@@ -741,6 +786,32 @@ class TestNCPolyPlumbing:
         ]
         for p, text in table:
             assert str(p) == text
+
+    def test_letters_render_as_before(self):
+        # each distinct letter is rendered once per call; these strings are
+        # those of rendering every letter through its Generator
+        G, multi = Generator, LaurentQ({-3: 2, 0: -1, 4: 7})
+        table = [
+            (0, [], "0"),
+            (0, [(1, [])], "1"),
+            (0, [(-1, [G(0, True), G(0, False)]), (multi, [G(0, False)] * 3), (LaurentQ({2: -5}), [])],
+             "-5*q^2 - z0s*z0 + (2*q^-3 - 1 + 7*q^4)*z0*z0*z0"),
+            (1, [(LaurentQ({-1: 1}), [G(1, True), G(0, True), G(0, False), G(1, False)]),
+                 (multi, []), (4, [G(1, False), G(0, True)])],
+             "(2*q^-3 - 1 + 7*q^4) + 4*z1*z0s + q^-1*z1s*z0s*z0*z1"),
+            (11, [(1, [G(11, True), G(10, True), G(0, False), G(11, False)]),
+                  (LaurentQ({-2: -1}), [G(10, False), G(1, True), G(11, False)]),
+                  (multi, [G(2, True), G(0, True)]), (-3, [])],
+             "-3 + (2*q^-3 - 1 + 7*q^4)*z2s*z0s - q^-2*z10*z1s*z11 + z11s*z10s*z0*z11"),
+            (11, [(LaurentQ({1: 1, -1: -1}), [G(i, i % 2 == 0) for i in range(12)])],
+             "(-q^-1 + q)*z0s*z1*z2s*z3*z4s*z5*z6s*z7*z8s*z9*z10s*z11"),
+        ]
+        for n, terms, text in table:
+            assert str(NCPoly.from_terms(n, terms)) == text
+        assert sphere._render_word((0, 23, 11, 12, 23), 11) == "z0s*z11*z11s*z0*z11"
+        assert sphere._render_word((), 11) == ""
+        # only the letters present are rendered, however large the alphabet
+        assert str(NCPoly.gen(10**12, 10**12, starred=True) * 3) == "3*z1000000000000s"
 
     def test_terms_are_canonically_ordered(self):
         p = gen(2, 1) + gen(2, 0, True) + NCPoly.one(2)

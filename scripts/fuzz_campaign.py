@@ -2,13 +2,13 @@
 """Confluence fuzzing campaign for the normal-ordering rewrite system.
 
 For each n in the requested range this reduces a batch of random words
-twice -- once with the deterministic leftmost strategy and once with a
-seeded random-redex strategy -- and reports any normal-form mismatches,
-step-budget hits, or degree violations.  Small spaces additionally get an
-exhaustive sweep over all two-letter words under the same step budget; a
-sweep that runs out of budget counts as a failed report.  Exit code 0 means
-every reduction agreed; an invalid ``QCPN_STEP_CAP`` prints ``error: ...``
-and exits 1; a usage error exits 2.
+with the leftmost and with the rightmost strategy, each distinct word
+once, and reports any normal-form mismatches, step-budget hits, or degree
+violations; the seed chooses only the words.  Small spaces additionally
+get an exhaustive sweep over all two-letter words under the same step
+budget; a sweep that runs out of budget counts as a failed report.  Exit
+code 0 means every reduction agreed; an invalid ``QCPN_STEP_CAP`` prints
+``error: ...`` and exits 1; a usage error exits 2.
 
 Sizes are capped as ``qcpn nc fuzz`` caps them: ``--max-n`` at most
 ``qcpn.cli.MAX_NC_N`` (the rewrite table grows as n^2) and ``--max-len``
@@ -66,7 +66,7 @@ def _report(head: str, rep, tail: str = "") -> bool:
     verdict = "OK" if rep.passed else "MISMATCH"
     print(f"{head}  {rep.words:6d} words  max {rep.max_steps:5d} steps  {verdict}{tail}")
     for word, left, right in rep.mismatches[:3]:
-        print(f"    {word}:  leftmost -> {left}  |  random -> {right}")
+        print(f"    {word}:  leftmost -> {left}  |  rightmost -> {right}")
     return rep.passed
 
 

@@ -45,9 +45,9 @@ from . import __version__
 MAX_LINE_POWER = 10**6  # largest |m| of a line class the K-class commands build
 MAX_NC_N = 200  # nc reduce at n = 200 takes about 0.3 s and 49 MiB as a process
 MAX_RELATIONS_N = 48  # nc relations grows as n^3: 1-2 s at n = 48
-MAX_FUZZ_TRIALS = 10**4  # 0.8-0.9 s as a process at n = 4, up to six letters, seed 1 (2-vCPU Xeon)
-MAX_FUZZ_LEN = 12  # 12 letters: about 1 ms a word at n = 2; at n = 200 most
-# words are fast, but a random run can reach the step budget
+MAX_FUZZ_TRIALS = 10**4  # 0.5-0.8 s as a process at n = 4, up to six letters, seed 1 (2-vCPU Xeon)
+MAX_FUZZ_LEN = 12  # 12 letters: about 1 ms a word at n = 2; at n = 200 most words are
+# fast, but one of the first 1000 of seed 1 takes 0.9 * 10^6 rightmost steps and 25 s
 
 
 def _write_json(obj, write, newline="\n") -> None:

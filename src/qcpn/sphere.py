@@ -21,8 +21,9 @@ pair, and normal words never contain both.  (Sorting both blocks
 ascending instead leaves e.g. ``z*_0 z*_1 z_0`` irreducible even though
 it equals ``q^-1 z*_0 z_0 z*_1``, which reduces; that orientation is
 genuinely non-confluent.)  Confluence of the chosen orientation is still
-not proven here; ``fuzz_confluence`` compares two reduction strategies on
-random words and reports any disagreement instead of repairing it.
+not proven here; ``fuzz_confluence`` compares the leftmost and rightmost
+reduction strategies on random words, once per distinct word, and reports
+any disagreement instead of repairing it.
 
 Two engines run on the rewrite table of ``_rewrite_table``: ``2n+2`` rows
 of ``2n+2`` entries, where ``table[a][b]`` is the replacement of the pair
@@ -43,7 +44,7 @@ comparisons of ``fuzz_confluence`` and ``exhaustive_pair_check``, and
 one budget.  It rewrites one redex at a time, at the position a
 caller-chosen strategy picks from the word's ascending redex list,
 rescanning each word it pops; it keeps no cache.  A strategy is asked
-only for a word with two or more redexes, so the random run of a word
+only for a word with two or more redexes, so the rightmost run of a word
 whose leftmost run never asked would repeat it step for step;
 ``_compare_strategies`` skips that run.  The two loops stay apart
 because each merged form was slower on one workload (measured on a
@@ -79,7 +80,7 @@ from __future__ import annotations
 import os
 import random
 from itertools import product
-from operator import index
+from operator import index, itemgetter
 from types import SimpleNamespace
 from typing import Iterable, NamedTuple
 
@@ -415,8 +416,7 @@ def _reduce(terms: dict, table: list, pick, step_cap: int) -> tuple[dict, int]:
     return done, steps
 
 
-def _leftmost(redexes):
-    return redexes[0]
+_leftmost, _rightmost = itemgetter(0), itemgetter(-1)  # strategies for _reduce
 
 
 class _NormalProduct:
@@ -627,24 +627,19 @@ def _random_word(rng: random.Random, n: int, max_len: int) -> tuple[int, ...]:
     return tuple(rng.randrange(top) for _ in range(length))
 
 
-def _compare_strategies(
-    word: tuple[int, ...], n: int, table: list, rng, cap: int, report: ReductionReport
-) -> None:
-    """Reduce one word leftmost-innermost and with random redex choice on ``table``.
+def _compare_strategies(word: tuple[int, ...], n: int, table: list, cap: int) -> tuple:
+    """Reduce one word leftmost-innermost and rightmost on ``table``.
 
-    Differing normal forms or broken weight homogeneity are recorded in
-    ``report``; ``StepBudgetExceeded`` propagates to the caller.
-
-    The random run is made only if the leftmost run met a choice, that is
-    called its ``pick``.  Otherwise it would repeat the leftmost run step
-    for step: ``_reduce`` calls ``pick`` only for a word with two or more
-    redexes, so if the leftmost run never did, then by induction on the
-    steps the random run starts from the same pending terms, pops the same
-    word each time, rewrites the same redex (the only one) and merges the
-    same terms in the same order.  It ends with the same normal form and
-    step count, never exceeds the budget the leftmost run kept, and draws
-    nothing from ``rng``, so skipping it changes no report and no later
-    choice.
+    Returns the larger step count and the mismatches: ``()``, or one entry
+    for differing normal forms or broken weight homogeneity.
+    ``StepBudgetExceeded`` propagates to the caller.  The rightmost run is
+    made only if the leftmost run met a choice, that is called its
+    ``pick``; otherwise it would repeat the leftmost run step for step.
+    ``_reduce`` calls ``pick`` only for a word with two or more redexes,
+    so if the leftmost run never did, then by induction on the steps the
+    rightmost run pops the same word each time, rewrites the same redex
+    (the only one) and merges the same terms in the same order, ending
+    with the same normal form and step count, within the same budget.
     """
     start = {word: {0: 1}}
     met_choice = False
@@ -654,22 +649,20 @@ def _compare_strategies(
         met_choice = True
         return redexes[0]
 
-    left, left_steps = _reduce(start, table, leftmost, cap)
+    left, steps = _reduce(start, table, leftmost, cap)
+    right = left
     if met_choice:
-        rand, rand_steps = _reduce(start, table, rng.choice, cap)
-    else:
-        rand, rand_steps = left, left_steps
-    report.max_steps = max(report.max_steps, left_steps, rand_steps)
+        right, right_steps = _reduce(start, table, _rightmost, cap)
+        steps = max(steps, right_steps)
     shift = n + 1
     degree = _weight(word, shift)
-    if left != rand:
-        left_nf, rand_nf = (NCPoly._raw(n, t) for t in (left, rand))
-        report.mismatches.append((_render_word(word, n), str(left_nf), str(rand_nf)))
-    elif left and {_weight(w, shift) for w in left} != {degree}:
-        left_degree = NCPoly._raw(n, left).u1_degree()
-        report.mismatches.append(
-            (_render_word(word, n), f"weight {left_degree}", f"weight {degree}")
-        )
+    if left != right:
+        left_nf, right_nf = (NCPoly._raw(n, t) for t in (left, right))
+        return steps, ((_render_word(word, n), str(left_nf), str(right_nf)),)
+    if left and {_weight(w, shift) for w in left} != {degree}:
+        weight = f"weight {NCPoly._raw(n, left).u1_degree()}"
+        return steps, ((_render_word(word, n), weight, f"weight {degree}"),)
+    return steps, ()
 
 
 def fuzz_confluence(
@@ -677,14 +670,17 @@ def fuzz_confluence(
 ) -> ReductionReport:
     """Empirical local-confluence check of the oriented system.
 
-    Each random word is reduced leftmost-innermost and, if that run met a
-    choice of redex, again with seeded random redex selection (a word
-    whose leftmost run meets no choice is reduced once, see
-    ``_compare_strategies``); differing normal forms, broken
-    weight homogeneity, or an exhausted step budget are recorded as
-    mismatches.  Deterministic for a fixed seed: the words come from
-    ``random.Random(seed)`` and the redex choices from a second stream
-    derived from it, so the words a seed tests do not depend on the engine.
+    Each random word goes through ``_compare_strategies``; differing
+    normal forms, broken weight homogeneity, or an exhausted step budget
+    are recorded as mismatches.  The words come from
+    ``random.Random(seed)``, and the seed chooses nothing else.
+
+    ``seen`` maps each word reduced in this call to the mismatches it
+    added, and a repeated draw only re-appends them.  The report equals
+    that of comparing every draw: both strategies are deterministic, so a
+    comparison is a function of the word, the table and the cap, which the
+    call fixes; its mismatches are the same each time, and its steps are
+    already in ``max_steps``, a maximum (a run over budget adds none).
     """
     if n < 0:
         raise ValueError("ambient index n must be nonnegative")
@@ -693,14 +689,17 @@ def fuzz_confluence(
     if trials < 0:
         raise ValueError("trials must be non-negative")
     cap, table = _step_cap(step_cap), _rewrite_table(n, ALL_RULES)
-    rng, choices = random.Random(seed), random.Random(f"{seed}/choices")
+    rng, seen = random.Random(seed), {}
     report = ReductionReport(words=trials)
     for _ in range(trials):
         word = _random_word(rng, n, max_len)
-        try:
-            _compare_strategies(word, n, table, choices, cap, report)
-        except StepBudgetExceeded:
-            report.mismatches.append((_render_word(word, n), "step budget exceeded", ""))
+        if word not in seen:
+            try:
+                steps, seen[word] = _compare_strategies(word, n, table, cap)
+            except StepBudgetExceeded:
+                steps, seen[word] = 0, ((_render_word(word, n), "step budget exceeded", ""),)
+            report.max_steps = max(report.max_steps, steps)
+        report.mismatches.extend(seen[word])
     return report
 
 
@@ -708,19 +707,20 @@ def exhaustive_pair_check(n: int, step_cap: int | None = None) -> ReductionRepor
     """Reduce every two-letter word through ``_compare_strategies``.
 
     No word reached from a two-letter word holds two redexes, so the
-    leftmost run meets no choice and each word is reduced once; the
-    random strategy is immaterial and this checks all rule orientations on
-    overlap-free inputs and the weight homogeneity of every rule.  It
-    cannot detect an overlap failure: an ambiguity needs two redexes
-    that share a letter, which takes a word of at least three letters.
-    An exhausted step budget raises ``StepBudgetExceeded``.
+    leftmost run meets no choice and each word is reduced once; this
+    checks all rule orientations on overlap-free inputs and the weight
+    homogeneity of every rule.  It cannot detect an overlap failure: an
+    ambiguity needs two redexes that share a letter, which takes a word of
+    at least three letters.  An exhausted step budget raises
+    ``StepBudgetExceeded``.
     """
     if n < 0:
         raise ValueError("ambient index n must be nonnegative")
     cap, table = _step_cap(step_cap), _rewrite_table(n, ALL_RULES)
     top = 2 * (n + 1)
-    rng = random.Random(0)
     report = ReductionReport(words=top * top)
     for word in product(range(top), repeat=2):
-        _compare_strategies(word, n, table, rng, cap, report)
+        steps, found = _compare_strategies(word, n, table, cap)
+        report.max_steps = max(report.max_steps, steps)
+        report.mismatches.extend(found)
     return report

@@ -82,6 +82,33 @@ def set_entry(table, a, b, terms):
     return rows
 
 
+def patch_table(monkeypatch, kind):
+    """Make ``sphere._rewrite_table`` build the sound table or one broken on purpose."""
+    real = sphere._rewrite_table
+    reorder, broken = {-2: 1, 0: -1}, {-4: 1, 0: -1}
+
+    def patched(n, rules):
+        rows = real(n, rules)
+        if kind == "broken reorder":  # R3 on z0 z0s with q^-4 - 1 instead of q^-2 - 1
+            terms = tuple((broken if f == reorder else f, w) for f, w in rows[n + 1][0])
+            return set_entry(rows, n + 1, 0, terms)
+        if kind == "broken weight":  # R1 on z1 z0 rewritten to the single letter z0s
+            return set_entry(rows, n + 2, n + 1, (({-1: 1}, (0,)),))
+        return rows
+
+    monkeypatch.setattr(sphere, "_rewrite_table", patched)
+
+
+def recording(func, calls):
+    """``func``, appending each of its results to ``calls``."""
+
+    def record(*args):
+        calls.append(func(*args))
+        return calls[-1]
+
+    return record
+
+
 def sphere_point(rng, n):
     """Exact rationals with sum(x_m * y_m) == 1; the classical sphere at q=1."""
     xs = [Fraction(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(n + 1)]
@@ -510,20 +537,18 @@ class TestFuzz:
         assert d["passed"] is True and d["mismatches"] == []
 
     def test_words_do_not_depend_on_the_engine(self, monkeypatch):
-        # the random strategy draws from its own stream, so a seed tests the
-        # same words however many choices the reductions make
-        seen = []
-        real = sphere._compare_strategies
-        record = lambda word, *rest: (seen.append(word), real(word, *rest))
-        monkeypatch.setattr(sphere, "_compare_strategies", record)
+        # the seed chooses only the words, so a seed tests the same words
+        # however the reductions run
+        rng, seen = random.Random(4), []
+        expected = [sphere._random_word(rng, 2, 6) for _ in range(200)]
+        monkeypatch.setattr(sphere, "_random_word", recording(sphere._random_word, seen))
         assert fuzz_confluence(2, 6, 200, seed=4).passed
-        rng = random.Random(4)
-        assert seen == [sphere._random_word(rng, 2, 6) for _ in range(200)]
+        assert seen == expected
 
     def test_pinned_step_counts(self):
-        # any change to the rng stream or to step counting moves these
+        # any change to the word stream, the strategies or step counting moves these
         assert [fuzz_confluence(n, 6, 500, seed=0).max_steps for n in (1, 2, 3, 4)] == [
-            79, 285, 836, 599
+            67, 285, 399, 330
         ]
         assert [verify_defining_relations(n).max_steps for n in range(1, 9)] == [
             5, 8, 12, 17, 23, 30, 38, 47
@@ -537,17 +562,9 @@ class TestFuzz:
 
     def test_mismatch_is_reported(self, monkeypatch):
         # R3 on z0 z0s with q^-4 - 1 instead of q^-2 - 1 breaks confluence
-        real = sphere._rewrite_table
-        reorder, broken = {-2: 1, 0: -1}, {-4: 1, 0: -1}
-
-        def broken_table(n, rules):
-            table = real(n, rules)
-            terms = tuple((broken if f == reorder else f, w) for f, w in table[n + 1][0])
-            return set_entry(table, n + 1, 0, terms)
-
-        monkeypatch.setattr(sphere, "_rewrite_table", broken_table)
+        patch_table(monkeypatch, "broken reorder")
         report = fuzz_confluence(1, 4, 200, seed=1)
-        assert len(report.mismatches) == 7
+        assert len(report.mismatches) == 19
         assert report.mismatches[0] == (
             "z0s*z0*z0s*z0s",
             "z0s*z0s - z1s*z0s*z0s*z1",
@@ -557,67 +574,109 @@ class TestFuzz:
     def test_weight_change_is_reported(self, monkeypatch):
         # R1 on z1 z0 rewritten to the single letter z0s: both strategies
         # agree, but the weight drops from 2 to -1
-        real = sphere._rewrite_table
-        broken = (({-1: 1}, (0,)),)
-        patched = lambda n, rules: set_entry(real(n, rules), 3, 2, broken)
-        monkeypatch.setattr(sphere, "_rewrite_table", patched)
+        patch_table(monkeypatch, "broken weight")
         assert exhaustive_pair_check(1).mismatches == [("z1*z0", "weight -1", "weight 2")]
 
 
-def compare_both(word, n, table, rng, cap, report):
-    """``_compare_strategies`` without its shortcut: the random run is always made."""
+def compare_both(word, n, table, cap):
+    """``_compare_strategies`` without its shortcut: the rightmost run is always made."""
     start = {word: {0: 1}}
     left, left_steps = _reduce(start, table, _leftmost, cap)
-    rand, rand_steps = _reduce(start, table, rng.choice, cap)
-    report.max_steps = max(report.max_steps, left_steps, rand_steps)
+    right, right_steps = _reduce(start, table, lambda r: r[-1], cap)
+    steps = max(left_steps, right_steps)
     shift = n + 1
     degree = sphere._weight(word, shift)
     rendered = sphere._render_word(word, n)
-    if left != rand:
-        report.mismatches.append((rendered, str(NCPoly(n, left)), str(NCPoly(n, rand))))
-    elif left and {sphere._weight(w, shift) for w in left} != {degree}:
+    if left != right:
+        return steps, ((rendered, str(NCPoly(n, left)), str(NCPoly(n, right))),)
+    if left and {sphere._weight(w, shift) for w in left} != {degree}:
         weight = NCPoly(n, left).u1_degree()
-        report.mismatches.append((rendered, f"weight {weight}", f"weight {degree}"))
+        return steps, ((rendered, f"weight {weight}", f"weight {degree}"),)
+    return steps, ()
+
+
+def meets_choice(word, table):
+    """Whether the leftmost reduction of ``word`` is ever asked to pick a redex."""
+    asked = []
+    _reduce({word: {0: 1}}, table, lambda r: asked.append(r) or r[0], sphere.DEFAULT_STEP_CAP)
+    return bool(asked)
 
 
 class TestChoiceFreeShortcut:
-    # a word whose leftmost run meets no choice gets no random run; the
-    # report and the choice stream must be those of running both
+    # a word whose leftmost run meets no choice gets no rightmost run; the
+    # result must be that of running both
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("table", ["sound", "broken reorder", "broken weight"])
     def test_matches_running_both_strategies(self, monkeypatch, n, table):
-        real = sphere._rewrite_table
-        reorder, broken = {-2: 1, 0: -1}, {-4: 1, 0: -1}
-
-        def patched(n, rules):
-            rows = real(n, rules)
-            if table == "broken reorder":  # R3 on z0 z0s with q^-4 - 1, as above
-                terms = tuple((broken if f == reorder else f, w) for f, w in rows[n + 1][0])
-                return set_entry(rows, n + 1, 0, terms)
-            if table == "broken weight":  # R1 on z1 z0 rewritten to z0s, as above
-                return set_entry(rows, n + 2, n + 1, (({-1: 1}, (0,)),))
-            return rows
-
-        monkeypatch.setattr(sphere, "_rewrite_table", patched)
+        patch_table(monkeypatch, table)
         rows = sphere._rewrite_table(n, ALL_RULES)
         cap = sphere.DEFAULT_STEP_CAP
-        got, want = sphere.ReductionReport(), sphere.ReductionReport()
-        rng, ref_rng = random.Random(1), random.Random(1)
-        choice_free = 0
         words = [w for k in range(5) for w in product(range(2 * n + 2), repeat=k)]
-        for word in words:
-            asked = []
-            _reduce({word: {0: 1}}, rows, lambda r: asked.append(r) or r[0], cap)
-            before = rng.getstate()
-            sphere._compare_strategies(word, n, rows, rng, cap, got)
-            compare_both(word, n, rows, ref_rng, cap, want)
-            assert got.as_dict() == want.as_dict(), word
-            assert rng.getstate() == ref_rng.getstate(), word
-            if not asked:
-                choice_free += 1
-                assert rng.getstate() == before, word
+        results = [sphere._compare_strategies(word, n, rows, cap) for word in words]
+        assert results == [compare_both(word, n, rows, cap) for word in words]
+        choice_free = sum(not meets_choice(word, rows) for word in words)
         assert 0 < choice_free < len(words)
-        assert got.passed == (table == "sound")
+        assert all(not found for _, found in results) == (table == "sound")
+
+
+def fuzz_every_draw(n, max_len, trials, seed, step_cap=None):
+    """``fuzz_confluence`` without its per-word dict: every draw is compared."""
+    cap, table = sphere._step_cap(step_cap), sphere._rewrite_table(n, ALL_RULES)
+    rng, report = random.Random(seed), sphere.ReductionReport(words=trials)
+    for _ in range(trials):
+        word = sphere._random_word(rng, n, max_len)
+        try:
+            steps, found = sphere._compare_strategies(word, n, table, cap)
+        except StepBudgetExceeded:
+            steps, found = 0, ((sphere._render_word(word, n), "step budget exceeded", ""),)
+        report.max_steps = max(report.max_steps, steps)
+        report.mismatches.extend(found)
+    return report
+
+
+class TestOncePerWord:
+    """``fuzz_confluence`` compares each distinct word once per call, and
+    its report is that of comparing every draw."""
+
+    @pytest.mark.parametrize("table", ["sound", "broken reorder", "broken weight", "step cap"])
+    def test_report_equals_comparing_every_draw(self, monkeypatch, table):
+        patch_table(monkeypatch, table)
+        cap, draws = (3 if table == "step cap" else None), []
+        expected = fuzz_every_draw(1, 4, 200, seed=1, step_cap=cap).as_dict()
+        monkeypatch.setattr(sphere, "_random_word", recording(sphere._random_word, draws))
+        report = fuzz_confluence(1, 4, 200, seed=1, step_cap=cap)
+        assert report.as_dict() == expected
+        assert len(set(draws)) < len(draws) == 200
+        if table == "sound":
+            assert report.passed
+        else:  # some failing word was drawn twice and is reported twice
+            assert len(set(report.mismatches)) < len(report.mismatches)
+
+    def test_each_distinct_word_is_reduced_once_per_strategy(self, monkeypatch):
+        draws, calls = [], []
+        real_reduce = sphere._reduce
+
+        def counting(terms, table, pick, cap):
+            (word,) = terms
+            calls.append((word, pick is sphere._rightmost))
+            return real_reduce(terms, table, pick, cap)
+
+        monkeypatch.setattr(sphere, "_random_word", recording(sphere._random_word, draws))
+        monkeypatch.setattr(sphere, "_reduce", counting)
+        assert fuzz_confluence(2, 5, 400, seed=3).passed
+        distinct, table = set(draws), sphere._rewrite_table(2, ALL_RULES)
+        assert len(distinct) < len(draws) == 400
+        chosen = {w for w in distinct if meets_choice(w, table)}
+        assert 0 < len(chosen) < len(distinct)
+        expected = [(w, False) for w in distinct] + [(w, True) for w in chosen]
+        assert sorted(calls) == sorted(expected)
+
+    def test_no_budget_report_on_confluent_words_at_large_n(self):
+        # a random strategy ran past the 10^6-step budget on
+        # z4*z4s*z14*z15s*z1*z1s*z9*z9s, which leftmost reduces in 9693 steps
+        for n in (16, 200):
+            report = fuzz_confluence(n, 12, 100, seed=1)
+            assert report.passed and report.words == 100
 
 
 class TestOneTablePerComputation:

@@ -15,10 +15,10 @@ Usage:
 from __future__ import annotations
 
 import argparse
-import sys
 import time
 
 from qcpn.basis import MAX_BASIS_N, certify_basis, is_leading_block
+from qcpn.cli import exit_with
 
 
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
@@ -63,4 +63,4 @@ def run(args: argparse.Namespace) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(run(parse_args()))
+    exit_with(lambda: run(parse_args()))

@@ -6,9 +6,9 @@ with the leftmost and with the rightmost strategy, each distinct word
 once, and reports any normal-form mismatches, step-budget hits, or degree
 violations; the seed chooses only the words.  Small spaces additionally
 get an exhaustive sweep over all two-letter words under the same step
-budget; a sweep that runs out of budget counts as a failed report.  Exit
-code 0 means every reduction agreed; an invalid ``QCPN_STEP_CAP`` prints
-``error: ...`` and exits 1; a usage error exits 2.
+budget; a word that runs out of budget is reported by name, in either
+check.  Exit code 0 means every reduction agreed; an invalid
+``QCPN_STEP_CAP`` prints ``error: ...`` and exits 1; a usage error exits 2.
 
 Sizes are capped as ``qcpn nc fuzz`` caps them: ``--max-n`` at most
 ``qcpn.cli.MAX_NC_N`` (the rewrite table grows as n^2) and ``--max-len``
@@ -29,8 +29,8 @@ import argparse
 import sys
 import time
 
-from qcpn.cli import MAX_FUZZ_LEN, MAX_NC_N
-from qcpn.sphere import StepBudgetExceeded, _step_cap, exhaustive_pair_check, fuzz_confluence
+from qcpn.cli import MAX_FUZZ_LEN, MAX_NC_N, exit_with
+from qcpn.sphere import _step_cap, exhaustive_pair_check, fuzz_confluence
 
 
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
@@ -79,12 +79,7 @@ def run(args: argparse.Namespace) -> int:
     failures = 0
     start = time.perf_counter()
     for n in range(args.min_n, min(args.max_n, args.exhaustive_max_n) + 1):
-        try:
-            rep = exhaustive_pair_check(n, step_cap=args.step_cap)
-        except StepBudgetExceeded as exc:
-            print(f"n={n}  exhaustive  FAIL  {exc}")
-            failures += 1
-            continue
+        rep = exhaustive_pair_check(n, step_cap=args.step_cap)
         if not _report(f"n={n}  exhaustive", rep):
             failures += 1
     for n in range(args.min_n, args.max_n + 1):
@@ -101,4 +96,4 @@ def run(args: argparse.Namespace) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(run(parse_args()))
+    exit_with(lambda: run(parse_args()))

@@ -35,6 +35,7 @@ minus sign must be attached, as in ``--expr=-z0``.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import lru_cache
 from itertools import repeat
@@ -326,8 +327,19 @@ def run(argv=None) -> int:
     return 0
 
 
+def exit_with(main) -> None:
+    """Exit with ``main()``'s status, or with 1 and no traceback once stdout's reader has gone."""
+    try:
+        status = main()
+        sys.stdout.flush()  # a closed pipe raises here, not in the flush at exit
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # the flush at exit writes nothing
+        status = 1
+    sys.exit(status)
+
+
 def main() -> None:
-    sys.exit(run())
+    exit_with(run)
 
 
 if __name__ == "__main__":

@@ -41,12 +41,11 @@ an expression is never expanded.
 The checks run only the pair rewriter ``_reduce``: the strategy
 comparisons of ``fuzz_confluence`` and ``exhaustive_pair_check``, and
 ``verify_defining_relations`` on each relation and its S^3 image under
-one budget.  It rewrites one redex at a time, at the position a
-caller-chosen strategy picks from the word's ascending redex list,
-rescanning each word it pops; it keeps no cache.  A strategy is asked
-only for a word with two or more redexes, so the rightmost run of a word
-whose leftmost run never asked would repeat it step for step;
-``_compare_strategies`` skips that run.  The two loops stay apart
+one budget.  It rewrites one redex at a time, the leftmost or, with
+``rightmost`` set, the rightmost, rescanning each word it pops; it keeps
+no cache.  It reports whether any word it rewrote held two or more
+redexes; if none did, a rightmost run would repeat the leftmost one step
+for step, and ``_compare_strategies`` skips it.  The two loops stay apart
 because each merged form was slower on one workload (measured on a
 2-vCPU Xeon VM, Python 3.11): running the letter-append through the full
 redex scan made ``z1^3000*z0`` 8x slower (0.22 to 1.67 s), and one shared
@@ -80,7 +79,7 @@ from __future__ import annotations
 import os
 import random
 from itertools import product
-from operator import index, itemgetter
+from operator import index
 from types import SimpleNamespace
 from typing import Iterable, NamedTuple
 
@@ -385,26 +384,28 @@ def _over_budget(step_cap: int) -> StepBudgetExceeded:
     )
 
 
-def _reduce(terms: dict, table: list, pick, step_cap: int) -> tuple[dict, int]:
+def _reduce(terms: dict, table: list, rightmost: bool, step_cap: int) -> tuple[dict, int, bool]:
     """The pair rewriter on exponent-map coefficients ``{e: c}`` of ``q^e``.
 
-    Drives ``terms`` to normal form on the rewrite ``table`` under the
-    redex-picking strategy ``pick``, which chooses one position from the
-    ascending list of the redex positions of a word that holds two or
-    more.  Equal words are merged as they appear; this is sound because
-    reduction is linear over words.  Returns the normal terms and the
-    number of rule applications performed.
+    Drives ``terms`` to normal form on the rewrite ``table``, rewriting
+    each word's rightmost redex if ``rightmost`` is set, else its leftmost.
+    Equal words are merged as they appear; this is sound because reduction
+    is linear over words.  Returns the normal terms, the number of rule
+    applications performed, and whether the strategy made a choice, that
+    is, whether any word it rewrote held two or more redexes.
     """
     pending = dict(terms)
     done: dict[tuple[int, ...], dict] = {}
-    steps = 0
+    steps, chose = 0, False
     while pending:
         word, coeff = pending.popitem()
         redexes = [p for p in range(len(word) - 1) if table[word[p]][word[p + 1]] is not None]
         if not redexes:
             _qmerge(done, word, coeff)
             continue
-        pos = pick(redexes) if len(redexes) > 1 else redexes[0]
+        if len(redexes) > 1:
+            chose = True
+        pos = redexes[-1] if rightmost else redexes[0]
         steps += 1
         if steps > step_cap:
             raise _over_budget(step_cap)
@@ -413,10 +414,7 @@ def _reduce(terms: dict, table: list, pick, step_cap: int) -> tuple[dict, int]:
         for f, repl in table[word[pos]][word[pos + 1]]:
             new = coeff if f is _UNIT else _qmul(coeff, f)
             _qmerge(pending, head + repl + tail, new)
-    return done, steps
-
-
-_leftmost, _rightmost = itemgetter(0), itemgetter(-1)  # strategies for _reduce
+    return done, steps, chose
 
 
 class _NormalProduct:
@@ -606,14 +604,15 @@ def verify_defining_relations(n: int, step_cap: int | None = None) -> ReductionR
     """Reduce every defining relation to zero, in the source algebra and
     through the 3-sphere projection, both under the one step budget.
 
-    Failures are recorded in the report, never raised.
+    A relation that does not reduce to zero is recorded in the report; a
+    reduction that runs out of budget raises ``StepBudgetExceeded``.
     """
     cap, relations = _step_cap(step_cap), defining_relations(n)
     tables = {m: _rewrite_table(m, ALL_RULES) for m in {n, 1}}  # source and S^3 image
     report = ReductionReport()
     for name, rel in relations:
         for label, p in ((name, rel), (f"s3 image of: {name}", _s3_image(rel))):
-            terms, steps = _reduce(p._terms, tables[p.n], _leftmost, cap)
+            terms, steps, _ = _reduce(p._terms, tables[p.n], False, cap)
             report.words += 1
             report.max_steps = max(report.max_steps, steps)
             if terms:
@@ -631,29 +630,22 @@ def _compare_strategies(word: tuple[int, ...], n: int, table: list, cap: int) ->
     """Reduce one word leftmost-innermost and rightmost on ``table``.
 
     Returns the larger step count and the mismatches: ``()``, or one entry
-    for differing normal forms or broken weight homogeneity.
-    ``StepBudgetExceeded`` propagates to the caller.  The rightmost run is
-    made only if the leftmost run met a choice, that is called its
-    ``pick``; otherwise it would repeat the leftmost run step for step.
-    ``_reduce`` calls ``pick`` only for a word with two or more redexes,
-    so if the leftmost run never did, then by induction on the steps the
+    for differing normal forms, broken weight homogeneity or an exhausted
+    step budget (0 steps).  The rightmost run is made only if the leftmost
+    run made a choice.  If it did not, then by induction on the steps the
     rightmost run pops the same word each time, rewrites the same redex
     (the only one) and merges the same terms in the same order, ending
     with the same normal form and step count, within the same budget.
     """
     start = {word: {0: 1}}
-    met_choice = False
-
-    def leftmost(redexes):
-        nonlocal met_choice
-        met_choice = True
-        return redexes[0]
-
-    left, steps = _reduce(start, table, leftmost, cap)
-    right = left
-    if met_choice:
-        right, right_steps = _reduce(start, table, _rightmost, cap)
-        steps = max(steps, right_steps)
+    try:
+        left, steps, chose = _reduce(start, table, False, cap)
+        right = left
+        if chose:
+            right, right_steps, _ = _reduce(start, table, True, cap)
+            steps = max(steps, right_steps)
+    except StepBudgetExceeded:
+        return 0, ((_render_word(word, n), "step budget exceeded", ""),)
     shift = n + 1
     degree = _weight(word, shift)
     if left != right:
@@ -665,62 +657,57 @@ def _compare_strategies(word: tuple[int, ...], n: int, table: list, cap: int) ->
     return steps, ()
 
 
-def fuzz_confluence(
-    n: int, max_len: int, trials: int, seed: int, step_cap: int | None = None
-) -> ReductionReport:
-    """Empirical local-confluence check of the oriented system.
+def _compare_words(n: int, words: Iterable, step_cap: int | None) -> ReductionReport:
+    """Run ``_compare_strategies`` on ``words``, each distinct word once.
 
-    Each random word goes through ``_compare_strategies``; differing
-    normal forms, broken weight homogeneity, or an exhausted step budget
-    are recorded as mismatches.  The words come from
-    ``random.Random(seed)``, and the seed chooses nothing else.
-
-    ``seen`` maps each word reduced in this call to the mismatches it
-    added, and a repeated draw only re-appends them.  The report equals
-    that of comparing every draw: both strategies are deterministic, so a
+    ``seen`` maps each word compared in this call to the mismatches it
+    added, and a repeated word only re-appends them.  The report equals
+    that of comparing every word: both strategies are deterministic, so a
     comparison is a function of the word, the table and the cap, which the
     call fixes; its mismatches are the same each time, and its steps are
     already in ``max_steps``, a maximum (a run over budget adds none).
     """
     if n < 0:
         raise ValueError("ambient index n must be nonnegative")
-    if max_len < 2:
-        raise ValueError("max_len must be at least 2")
-    if trials < 0:
-        raise ValueError("trials must be non-negative")
     cap, table = _step_cap(step_cap), _rewrite_table(n, ALL_RULES)
-    rng, seen = random.Random(seed), {}
-    report = ReductionReport(words=trials)
-    for _ in range(trials):
-        word = _random_word(rng, n, max_len)
+    report, seen = ReductionReport(), {}
+    for word in words:
+        report.words += 1
         if word not in seen:
-            try:
-                steps, seen[word] = _compare_strategies(word, n, table, cap)
-            except StepBudgetExceeded:
-                steps, seen[word] = 0, ((_render_word(word, n), "step budget exceeded", ""),)
+            steps, seen[word] = _compare_strategies(word, n, table, cap)
             report.max_steps = max(report.max_steps, steps)
         report.mismatches.extend(seen[word])
     return report
 
 
+def fuzz_confluence(
+    n: int, max_len: int, trials: int, seed: int, step_cap: int | None = None
+) -> ReductionReport:
+    """Empirical local-confluence check of the oriented system.
+
+    Compares the two strategies on ``trials`` random words through
+    ``_compare_words``; differing normal forms, broken weight homogeneity,
+    or an exhausted step budget are recorded as mismatches.  The words come
+    from ``random.Random(seed)``, and the seed chooses nothing else.
+    """
+    if max_len < 2:
+        raise ValueError("max_len must be at least 2")
+    if trials < 0:
+        raise ValueError("trials must be non-negative")
+    rng = random.Random(seed)
+    return _compare_words(n, (_random_word(rng, n, max_len) for _ in range(trials)), step_cap)
+
+
 def exhaustive_pair_check(n: int, step_cap: int | None = None) -> ReductionReport:
-    """Reduce every two-letter word through ``_compare_strategies``.
+    """Compare the two strategies on every two-letter word through ``_compare_words``.
 
     No word reached from a two-letter word holds two redexes, so the
     leftmost run meets no choice and each word is reduced once; this
     checks all rule orientations on overlap-free inputs and the weight
     homogeneity of every rule.  It cannot detect an overlap failure: an
     ambiguity needs two redexes that share a letter, which takes a word of
-    at least three letters.  An exhausted step budget raises
-    ``StepBudgetExceeded``.
+    at least three letters.  A word that runs out of step budget is a
+    mismatch that names it, as in ``fuzz_confluence``.
     """
-    if n < 0:
-        raise ValueError("ambient index n must be nonnegative")
-    cap, table = _step_cap(step_cap), _rewrite_table(n, ALL_RULES)
     top = 2 * (n + 1)
-    report = ReductionReport(words=top * top)
-    for word in product(range(top), repeat=2):
-        steps, found = _compare_strategies(word, n, table, cap)
-        report.max_steps = max(report.max_steps, steps)
-        report.mismatches.extend(found)
-    return report
+    return _compare_words(n, product(range(top), repeat=2), step_cap)

@@ -17,7 +17,7 @@ from hypothesis import given, strategies as st
 from qcpn.basis import certify_basis
 from qcpn.cli import _write_json, build_parser, run
 from qcpn.ncparse import MAX_NESTING, parse_expr
-from qcpn.sphere import ALL_RULES, NCPoly, _leftmost, _reduce, _rewrite_table, normal_form
+from qcpn.sphere import ALL_RULES, NCPoly, _reduce, _rewrite_table, normal_form
 
 
 def load_schema():
@@ -441,7 +441,7 @@ class TestNC:
     def test_reduce_power_matches_pair_rewriting(self, capsys):
         env = invoke_json(capsys, "nc", "reduce", "--n", "1", "--expr", "(z0+z0s)^12")
         half = normal_form(parse_expr("(z0+z0s)^6", 1))
-        terms, _ = _reduce((half * half)._terms, _rewrite_table(1, ALL_RULES), _leftmost, 10**7)
+        terms, _, _ = _reduce((half * half)._terms, _rewrite_table(1, ALL_RULES), False, 10**7)
         assert env["result"]["normal_form"] == str(NCPoly._raw(1, terms))
 
     def test_degree_is_of_the_unreduced_input(self, capsys):
@@ -712,3 +712,16 @@ class TestUsageErrors:
         )
         assert out.returncode == 0
         assert json.loads(out.stdout)["result"] == {"n": 1, "coeffs": ["1", "0"]}
+
+    def test_closed_pipe_exits_without_a_traceback(self):
+        # 6 MB of envelope: the writer is still writing when the reader goes
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qcpn", "kbasis", "--n", "300"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.read(10) == b'{\n  "comma'
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
+        assert err == ""

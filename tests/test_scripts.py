@@ -83,7 +83,8 @@ class TestFuzzCampaign:
         code = fuzz_campaign.run(fuzz_campaign.parse_args(argv))
         lines = capsys.readouterr().out.splitlines()
         assert code == 1
-        assert lines[0].startswith("n=1  exhaustive  FAIL  exceeded 1 rewrite steps")
+        assert lines[0].startswith("n=1  exhaustive") and lines[0].endswith("MISMATCH")
+        assert lines[1].startswith("    z0*z0s:  leftmost -> step budget exceeded")
         assert lines[-1].endswith(": 2 report(s) with mismatches")
 
     def test_invalid_env_cap_is_an_error(self, fuzz_campaign, capsys, monkeypatch):

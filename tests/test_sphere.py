@@ -24,7 +24,6 @@ from qcpn.sphere import (
     Generator,
     NCPoly,
     StepBudgetExceeded,
-    _leftmost,
     _NormalProduct,
     _reduce,
     defining_relations,
@@ -217,7 +216,7 @@ class TestEngines:
         for length in range(max_len + 1):
             for word in product(range(2 * n + 2), repeat=length):
                 start = {word: {0: 1}}
-                expected, _ = _reduce(start, table, _leftmost, 10**6)
+                expected, _, _ = _reduce(start, table, False, 10**6)
                 got = normal_form(NCPoly(n, start), rules=rules)
                 assert got == NCPoly(n, expected), word
 
@@ -262,7 +261,7 @@ class TestMergeOrder:
         mul = _NormalProduct(n)
         expected = mul(NCPoly.one(n), p)
         assert (expected.term_count(), mul.steps) == (n + 1, n + 2)
-        terms, steps = _reduce(p._terms, sphere._rewrite_table(n, ALL_RULES), _leftmost, 1000)
+        terms, steps, _ = _reduce(p._terms, sphere._rewrite_table(n, ALL_RULES), False, 1000)
         assert (NCPoly(n, terms), steps) == (expected, n + 2)
 
     def test_sphere_sum_at_n30(self):
@@ -293,7 +292,7 @@ class TestMergeOrder:
         for u, x in product(normal, letters):
             mul = _NormalProduct(n)
             got = mul(NCPoly._raw(n, {u: {0: 1}}), NCPoly._raw(n, {(x,): {0: 1}}))
-            terms, steps = _reduce({u + (x,): {0: 1}}, table, _leftmost, 1000)
+            terms, steps, _ = _reduce({u + (x,): {0: 1}}, table, False, 1000)
             assert (got._terms, mul.steps) == (terms, steps), (u, x)
 
 
@@ -560,6 +559,11 @@ class TestFuzz:
         assert (report.words, len(report.mismatches), report.max_steps) == (40, 18, 3)
         assert report.mismatches[0] == ("z0s*z0*z1s*z2*z0s*z1s", "step budget exceeded", "")
 
+    def test_sweep_reports_a_budget_overrun_by_word(self):
+        report = exhaustive_pair_check(1, step_cap=1)
+        assert report.words == 16 and not report.passed
+        assert report.mismatches[0] == ("z0*z0s", "step budget exceeded", "")
+
     def test_mismatch_is_reported(self, monkeypatch):
         # R3 on z0 z0s with q^-4 - 1 instead of q^-2 - 1 breaks confluence
         patch_table(monkeypatch, "broken reorder")
@@ -581,8 +585,8 @@ class TestFuzz:
 def compare_both(word, n, table, cap):
     """``_compare_strategies`` without its shortcut: the rightmost run is always made."""
     start = {word: {0: 1}}
-    left, left_steps = _reduce(start, table, _leftmost, cap)
-    right, right_steps = _reduce(start, table, lambda r: r[-1], cap)
+    left, left_steps, _ = _reduce(start, table, False, cap)
+    right, right_steps, _ = _reduce(start, table, True, cap)
     steps = max(left_steps, right_steps)
     shift = n + 1
     degree = sphere._weight(word, shift)
@@ -596,10 +600,18 @@ def compare_both(word, n, table, cap):
 
 
 def meets_choice(word, table):
-    """Whether the leftmost reduction of ``word`` is ever asked to pick a redex."""
-    asked = []
-    _reduce({word: {0: 1}}, table, lambda r: asked.append(r) or r[0], sphere.DEFAULT_STEP_CAP)
-    return bool(asked)
+    """Whether the leftmost reduction of ``word`` rewrites a word with two or more redexes."""
+    return _reduce({word: {0: 1}}, table, False, sphere.DEFAULT_STEP_CAP)[2]
+
+
+CHOICE_FREE = {  # (choice-free words, all words) of length at most 4
+    ("sound", 1): (207, 341),
+    ("sound", 2): (880, 1555),
+    ("broken reorder", 1): (207, 341),
+    ("broken reorder", 2): (880, 1555),
+    ("broken weight", 1): (206, 341),
+    ("broken weight", 2): (881, 1555),
+}
 
 
 class TestChoiceFreeShortcut:
@@ -615,7 +627,8 @@ class TestChoiceFreeShortcut:
         results = [sphere._compare_strategies(word, n, rows, cap) for word in words]
         assert results == [compare_both(word, n, rows, cap) for word in words]
         choice_free = sum(not meets_choice(word, rows) for word in words)
-        assert 0 < choice_free < len(words)
+        # any change to what _reduce reports as a choice moves these
+        assert (choice_free, len(words)) == CHOICE_FREE[table, n]
         assert all(not found for _, found in results) == (table == "sound")
 
 
@@ -625,10 +638,7 @@ def fuzz_every_draw(n, max_len, trials, seed, step_cap=None):
     rng, report = random.Random(seed), sphere.ReductionReport(words=trials)
     for _ in range(trials):
         word = sphere._random_word(rng, n, max_len)
-        try:
-            steps, found = sphere._compare_strategies(word, n, table, cap)
-        except StepBudgetExceeded:
-            steps, found = 0, ((sphere._render_word(word, n), "step budget exceeded", ""),)
+        steps, found = sphere._compare_strategies(word, n, table, cap)
         report.max_steps = max(report.max_steps, steps)
         report.mismatches.extend(found)
     return report
@@ -656,10 +666,10 @@ class TestOncePerWord:
         draws, calls = [], []
         real_reduce = sphere._reduce
 
-        def counting(terms, table, pick, cap):
+        def counting(terms, table, rightmost, cap):
             (word,) = terms
-            calls.append((word, pick is sphere._rightmost))
-            return real_reduce(terms, table, pick, cap)
+            calls.append((word, rightmost))
+            return real_reduce(terms, table, rightmost, cap)
 
         monkeypatch.setattr(sphere, "_random_word", recording(sphere._random_word, draws))
         monkeypatch.setattr(sphere, "_reduce", counting)
@@ -723,13 +733,13 @@ class TestOneTablePerComputation:
 
 
 class TestStepBudget:
-    @pytest.mark.parametrize("strategy", ["leftmost", "random"])
+    @pytest.mark.parametrize("strategy", ["leftmost", "rightmost"])
     def test_pair_rewriter_boundary(self, strategy):
         start = {(2, 0, 3, 1): {0: 1}}  # z0 z0s z1 z1s, n=1
 
         def reduce(cap):
-            pick = _leftmost if strategy == "leftmost" else random.Random(7).choice
-            return _reduce(start, sphere._rewrite_table(1, ALL_RULES), pick, cap)
+            table = sphere._rewrite_table(1, ALL_RULES)
+            return _reduce(start, table, strategy == "rightmost", cap)[:2]
 
         terms, k = reduce(10**6)
         assert k > 1
@@ -761,6 +771,16 @@ class TestStepBudget:
         monkeypatch.setenv("QCPN_STEP_CAP", "2")
         report = verify_defining_relations(1, step_cap=10**6)
         assert report.passed and report.max_steps == 5
+
+    def test_relations_raise_on_a_budget_overrun(self, monkeypatch, capsys):
+        # unlike the strategy comparisons, the relation check does not record an overrun
+        with pytest.raises(StepBudgetExceeded, match="exceeded 1 rewrite steps"):
+            verify_defining_relations(2, step_cap=1)
+        monkeypatch.setenv("QCPN_STEP_CAP", "1")
+        assert cli.run(["nc", "relations", "--n", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: exceeded 1 rewrite steps (set QCPN_STEP_CAP to raise the cap)\n"
 
     def test_explicit_cap_wins_over_env(self, monkeypatch):
         monkeypatch.setenv("QCPN_STEP_CAP", "1")

@@ -42,17 +42,23 @@ The checks run only the pair rewriter ``_reduce``: the strategy
 comparisons of ``fuzz_confluence`` and ``exhaustive_pair_check``, and
 ``verify_defining_relations`` on each relation and its S^3 image under
 one budget.  It rewrites one redex at a time, the leftmost or, with
-``rightmost`` set, the rightmost, rescanning each word it pops; it keeps
-no cache.  It reports whether any word it rewrote held two or more
-redexes; if none did, a rightmost run would repeat the leftmost one step
-for step, and ``_compare_strategies`` skips it.  The two loops stay apart
-because each merged form was slower on one workload (measured on a
+``rightmost`` set, the rightmost; it keeps no cache.  It scans each word
+it pops whole.  A rewrite to one term whose word is not pending starts a
+chain that it follows in locals: it scans only the pairs beside each
+replacement and applies the chain's monomial factors to the coefficient
+once, at its end.  It reports whether any word it rewrote held two or
+more redexes; if none did, a rightmost run would repeat the leftmost one
+step for step, and ``_compare_strategies`` skips it.  The two loops stay
+apart because each merged form was slower on one workload (measured on a
 2-vCPU Xeon VM, Python 3.11): running the letter-append through the full
-redex scan made ``z1^3000*z0`` 8x slower (0.22 to 1.67 s), and one shared
-loop with the one-sided bound ``lo``, whose redex list starts at ``lo``
-when a strategy is given, made the ``nc-fuzz`` benchmark slower in 6 of 6
-seeds (``wall_s`` median 0.88 to 1.00 s) and ``fuzz_confluence`` about
-17 % slower in process, with unchanged step counts.
+redex scan made ``z1^3000*z0`` 8x slower (0.22 to 1.67 s), and one
+shared loop with the one-sided bound ``lo``, whose redex list starts at
+``lo`` when a strategy is given, made the ``nc-fuzz`` benchmark slower
+in 6 of 6 seeds (``wall_s`` median 0.88 to 1.00 s) and
+``fuzz_confluence`` about 17 % slower in process, with unchanged step
+counts.  That loop stored ``[coefficient, lo]`` in each pending entry;
+``_reduce`` keeps its bounds in locals, and its pending entries stay
+bare coefficients.
 
 Every coefficient, in ``NCPoly``, in the rewrite table and in both
 engines, has one representation: an exponent map ``{e: c}`` for
@@ -66,7 +72,8 @@ constructors and ``_constant``) to maps, ``terms()``, ``coefficient()``,
 apart from the table it is checked against.  No coefficient map is ever
 mutated, so terms may share them; both engines multiply a coefficient by
 a factor of the rewrite table with ``_qmul``, and ``_reduce`` passes it
-on unchanged through the table's unit factor ``_UNIT``.
+on unchanged through the table's unit factor ``_UNIT`` and applies a
+chain of monomial factors as one shift and one scale.
 
 Internally a word is a tuple of integer codes (for ambient ``n``: starred
 index i is code i, unstarred index i is code n+1+i), so the canonical
@@ -393,27 +400,80 @@ def _reduce(terms: dict, table: list, rightmost: bool, step_cap: int) -> tuple[d
     is linear over words.  Returns the normal terms, the number of rule
     applications performed, and whether the strategy made a choice, that
     is, whether any word it rewrote held two or more redexes.
+
+    A rewrite to one term whose word is not pending starts or extends a
+    chain, which is followed in locals.  Terms, their order, steps and the
+    choice flag are those of merging every result into ``pending`` and
+    scanning every popped word whole, for four reasons:
+
+    * ``popitem`` returns the key inserted last, so that merge would put
+      the word last and pop it next, with ``pending`` otherwise unchanged.
+      A result already pending is merged, and so is every fan-out.
+    * A rewrite at ``pos`` with replacement ``repl`` leaves every pair
+      outside ``lo = max(pos - 1, 0)`` to ``hi = pos + len(repl) - 1`` a
+      pair of the old word.  Leftmost, the old word held no redex before
+      ``pos``, so the new one holds none before ``lo``; rightmost, none
+      after ``pos``, so the new one holds none after ``hi``.
+    * Until ``chose`` is set, every word rewritten held a single redex, so
+      all the pairs outside the bounds are normal and the count within them
+      is complete.  After that only the first redex from the chosen side
+      is looked for.
+    * A monomial factor ``c q^e`` shifts the exponents by ``e`` and scales
+      the coefficients by ``c``; shifts and scales commute, and a product
+      of nonzero integers is nonzero, so nothing cancels and applying
+      the chain's sum of shifts and product of scales once at its end
+      gives the same map, key order included.  A factor that is not a
+      monomial ends the chain.
     """
     pending = dict(terms)
     done: dict[tuple[int, ...], dict] = {}
     steps, chose = 0, False
     while pending:
         word, coeff = pending.popitem()
-        redexes = [p for p in range(len(word) - 1) if table[word[p]][word[p + 1]] is not None]
-        if not redexes:
+        lo, hi = 0, len(word) - 2  # the pairs that can hold a redex
+        shift, scale = 0, 1  # the chain's monomials, not yet applied to coeff
+        while True:
+            if chose:  # only the first redex from the chosen side matters
+                if rightmost:
+                    pos = hi
+                    while pos >= 0 and table[word[pos]][word[pos + 1]] is None:
+                        pos -= 1
+                else:
+                    pos, last = lo, len(word) - 2
+                    while pos <= last and table[word[pos]][word[pos + 1]] is None:
+                        pos += 1
+                    if pos > last:
+                        pos = -1
+            else:
+                redexes = [p for p in range(lo, hi + 1) if table[word[p]][word[p + 1]] is not None]
+                chose = len(redexes) > 1
+                pos = (redexes[-1] if rightmost else redexes[0]) if redexes else -1
+            if pos < 0:
+                break
+            steps += 1
+            if steps > step_cap:
+                raise _over_budget(step_cap)
+            rule = table[word[pos]][word[pos + 1]]
+            if len(rule) > 1:
+                break
+            ((f, repl),) = rule
+            new = word[:pos] + repl + word[pos + 2 :]
+            if len(f) > 1 or new in pending:
+                break
+            ((e, c),) = f.items()  # follow the chain
+            shift, scale, word = shift + e, scale * c, new
+            lo = pos - 1 if pos else 0
+            hi = pos + len(repl) - 1
+            if hi > len(new) - 2:
+                hi = len(new) - 2
+        if shift or scale != 1:
+            coeff = {e + shift: c * scale for e, c in coeff.items()}
+        if pos < 0:
             _qmerge(done, word, coeff)
             continue
-        if len(redexes) > 1:
-            chose = True
-        pos = redexes[-1] if rightmost else redexes[0]
-        steps += 1
-        if steps > step_cap:
-            raise _over_budget(step_cap)
-        head = word[:pos]
-        tail = word[pos + 2 :]
-        for f, repl in table[word[pos]][word[pos + 1]]:
-            new = coeff if f is _UNIT else _qmul(coeff, f)
-            _qmerge(pending, head + repl + tail, new)
+        head, tail = word[:pos], word[pos + 2 :]
+        for f, repl in rule:
+            _qmerge(pending, head + repl + tail, coeff if f is _UNIT else _qmul(coeff, f))
     return done, steps, chose
 
 

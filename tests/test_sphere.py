@@ -82,7 +82,7 @@ def set_entry(table, a, b, terms):
 
 
 def patch_table(monkeypatch, kind):
-    """Make ``sphere._rewrite_table`` build the sound table or one broken on purpose."""
+    """Make ``sphere._rewrite_table`` build the sound table or one altered on purpose."""
     real = sphere._rewrite_table
     reorder, broken = {-2: 1, 0: -1}, {-4: 1, 0: -1}
 
@@ -93,6 +93,10 @@ def patch_table(monkeypatch, kind):
             return set_entry(rows, n + 1, 0, terms)
         if kind == "broken weight":  # R1 on z1 z0 rewritten to the single letter z0s
             return set_entry(rows, n + 2, n + 1, (({-1: 1}, (0,)),))
+        if kind == "binomial R1":  # R1 on z1 z0 with the factor q^-1 + q, not a monomial
+            return set_entry(rows, n + 2, n + 1, (({-1: 1, 1: 1}, (n + 1, n + 2)),))
+        if kind == "scaled R2":  # R2 on z0 z1s with the factor -2q
+            return set_entry(rows, n + 1, 1, (({1: -2}, (1, n + 1)),))
         return rows
 
     monkeypatch.setattr(sphere, "_rewrite_table", patched)
@@ -294,6 +298,71 @@ class TestMergeOrder:
             got = mul(NCPoly._raw(n, {u: {0: 1}}), NCPoly._raw(n, {(x,): {0: 1}}))
             terms, steps, _ = _reduce({u + (x,): {0: 1}}, table, False, 1000)
             assert (got._terms, mul.steps) == (terms, steps), (u, x)
+
+
+def reference_reduce(terms, table, rightmost, step_cap):
+    """The pair rewriter as one plain loop, the reference for ``_reduce``.
+
+    Each word popped is scanned whole for its redexes, one is rewritten,
+    and every result is merged back into ``pending``, even a single term
+    that is popped straight back.
+    """
+    pending, done = dict(terms), {}
+    steps, chose = 0, False
+    while pending:
+        word, coeff = pending.popitem()
+        redexes = [p for p in range(len(word) - 1) if table[word[p]][word[p + 1]] is not None]
+        if not redexes:
+            sphere._qmerge(done, word, coeff)
+            continue
+        if len(redexes) > 1:
+            chose = True
+        pos = redexes[-1] if rightmost else redexes[0]
+        steps += 1
+        if steps > step_cap:
+            raise sphere._over_budget(step_cap)
+        for f, repl in table[word[pos]][word[pos + 1]]:
+            sphere._qmerge(pending, word[:pos] + repl + word[pos + 2 :], sphere._qmul(coeff, f))
+    return done, steps, chose
+
+
+def in_order(result):
+    """A ``_reduce`` result with its dict orders made part of the comparison."""
+    terms, steps, chose = result
+    return [(w, list(c.items())) for w, c in terms.items()], steps, chose
+
+
+class TestReferenceLoop:
+    """``_reduce`` follows each chain of single-term rewrites in locals; its
+    normal terms, their order, its steps and its choice flag are those of
+    the plain loop, for both strategies."""
+
+    @pytest.mark.parametrize(
+        "table, n, max_len",
+        [("sound", 0, 5)]
+        + [
+            (table, n, max_len)
+            for table in ("sound", "broken reorder", "broken weight", "binomial R1", "scaled R2")
+            for n, max_len in ((1, 5), (2, 4))
+        ],
+    )
+    def test_every_short_word(self, monkeypatch, table, n, max_len):
+        patch_table(monkeypatch, table)
+        rows = sphere._rewrite_table(n, ALL_RULES)
+        for k in range(max_len + 1):
+            for word, rightmost in product(product(range(2 * n + 2), repeat=k), (False, True)):
+                got = _reduce({word: {0: 1}}, rows, rightmost, 10**6)
+                assert in_order(got) == in_order(reference_reduce({word: {0: 1}}, rows, rightmost, 10**6))
+
+    def test_chains_that_end_in_a_pending_word(self):
+        # every pair of three-letter words at n = 1, the second scaled by -q: a
+        # chain from one may reach the other, and some of them cancel
+        rows = sphere._rewrite_table(1, ALL_RULES)
+        words = list(product(range(4), repeat=3))
+        for u, w, rightmost in product(words, words, (False, True)):
+            start = {u: {0: 1}, w: {1: -1}}
+            got = _reduce(start, rows, rightmost, 10**6)
+            assert in_order(got) == in_order(reference_reduce(start, rows, rightmost, 10**6))
 
 
 class TestJunctionDerivation:
@@ -735,17 +804,19 @@ class TestOneTablePerComputation:
 class TestStepBudget:
     @pytest.mark.parametrize("strategy", ["leftmost", "rightmost"])
     def test_pair_rewriter_boundary(self, strategy):
-        start = {(2, 0, 3, 1): {0: 1}}  # z0 z0s z1 z1s, n=1
+        # z0 z0s z1 z1s, and z1^3 z0^3, one chain of R1 steps, both at n=1
+        for word in ((2, 0, 3, 1), (3, 3, 3, 2, 2, 2)):
+            start = {word: {0: 1}}
 
-        def reduce(cap):
-            table = sphere._rewrite_table(1, ALL_RULES)
-            return _reduce(start, table, strategy == "rightmost", cap)[:2]
+            def reduce(cap):
+                table = sphere._rewrite_table(1, ALL_RULES)
+                return _reduce(start, table, strategy == "rightmost", cap)[:2]
 
-        terms, k = reduce(10**6)
-        assert k > 1
-        assert reduce(k) == (terms, k)
-        with pytest.raises(StepBudgetExceeded, match=f"exceeded {k - 1} rewrite steps"):
-            reduce(k - 1)
+            terms, k = reduce(10**6)
+            assert k > 1
+            assert reduce(k) == (terms, k)
+            with pytest.raises(StepBudgetExceeded, match=f"exceeded {k - 1} rewrite steps"):
+                reduce(k - 1)
 
     def test_explicit_cap_exceeded(self):
         p = word_poly(1, [(1, False), (0, False)])

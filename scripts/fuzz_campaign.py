@@ -14,9 +14,13 @@ Sizes are capped as ``qcpn nc fuzz`` caps them: ``--max-n`` at most
 ``qcpn.cli.MAX_NC_N`` (the rewrite table grows as n^2) and ``--max-len``
 at most ``qcpn.cli.MAX_FUZZ_LEN``.  ``--trials`` is not capped, because it
 sets how long a campaign runs; each word it draws is bounded by the two
-caps and by the step budget.  Each check builds the rewrite table of its n
-and drops it when it returns, so a campaign holds one table at a time:
-``--max-n 200 --trials 1 --exhaustive-max-n 0`` peaks at about 34 MiB RSS.
+caps and by the step budget.  It sets how much memory the campaign holds,
+too: each fuzz batch keeps every distinct word it has compared until it
+returns, about 80 bytes a word, so at n = 50 and length 4, 80000 trials
+peak at 7.6 MiB (``tracemalloc``), against 2.8 MiB at 20000.  Each check
+builds the rewrite table of its n and drops it when it returns, so a
+campaign holds one table at a time: ``--max-n 200 --trials 1
+--exhaustive-max-n 0`` peaks at about 34 MiB RSS.
 
 Usage:
     python3 scripts/fuzz_campaign.py

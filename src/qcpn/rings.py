@@ -89,7 +89,7 @@ def _qadd(a: dict, b: dict) -> dict:
 
 def _qmul(a: dict, b: dict) -> dict:
     """The exponent map of ``a * b`` as a new dict, zero sums dropped."""
-    # single-monomial factors dominate in the rewrite engines
+    # single-monomial factors dominate in the rewriter
     if len(b) == 1:
         ((e2, c2),) = b.items()
         return {e + e2: c * c2 for e, c in a.items()}

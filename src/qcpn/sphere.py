@@ -25,43 +25,45 @@ not proven here; ``fuzz_confluence`` compares the leftmost and rightmost
 reduction strategies on random words, once per distinct word, and reports
 any disagreement instead of repairing it.
 
-Two engines run on the rewrite table of ``_rewrite_table``: ``2n+2`` rows
-of ``2n+2`` entries, where ``table[a][b]`` is the replacement of the pair
-of codes ``(a, b)``, or ``None`` if the pair is normal.  Each computation
-builds one table and passes it down, and nothing keeps it after: a table
-holds O(n^3) entries, so a cache of all the tables a fuzz campaign built
-grew as O(n^4).  The letter-append product ``_NormalProduct`` serves
-``normal_form``, ``project_to_s3``, ``nc reduce`` and the parser: the
-product of two normal forms feeds the letters of the right factor one at a
-time into the normal terms of the left one.  Each pending word carries the
-bound of the ``_NormalProduct`` docstring, before which it holds no redex,
-so the redex search skips the word's normal front, and the free product of
-an expression is never expanded.
-
-The checks run only the pair rewriter ``_reduce``: the strategy
-comparisons of ``fuzz_confluence`` and ``exhaustive_pair_check``, and
-``verify_defining_relations`` on each relation and its S^3 image under
-one budget.  It rewrites one redex at a time, the leftmost or, with
+One loop, the pair rewriter ``_reduce``, runs on the rewrite table of
+``_rewrite_table``: ``2n+2`` rows of ``2n+2`` entries, where
+``table[a][b]`` is the replacement of the pair of codes ``(a, b)``, or
+``None`` if the pair is normal.  Each computation builds one table and
+passes it down, and nothing keeps it after: a table holds O(n^3) entries,
+so a cache of all the tables a fuzz campaign built grew as O(n^4).
+``_reduce`` rewrites one redex at a time, the leftmost or, with
 ``rightmost`` set, the rightmost; it keeps no cache.  It scans each word
 it pops whole.  A rewrite to one term whose word is not pending starts a
 chain that it follows in locals: it scans only the pairs beside each
 replacement and applies the chain's monomial factors to the coefficient
 once, at its end.  It reports whether any word it rewrote held two or
 more redexes; if none did, a rightmost run would repeat the leftmost one
-step for step, and ``_compare_strategies`` skips it.  The two loops stay
-apart because each merged form was slower on one workload (measured on a
-2-vCPU Xeon VM, Python 3.11): running the letter-append through the full
-redex scan made ``z1^3000*z0`` 8x slower (0.22 to 1.67 s), and one
-shared loop with the one-sided bound ``lo``, whose redex list starts at
-``lo`` when a strategy is given, made the ``nc-fuzz`` benchmark slower
-in 6 of 6 seeds (``wall_s`` median 0.88 to 1.00 s) and
-``fuzz_confluence`` about 17 % slower in process, with unchanged step
-counts.  That loop stored ``[coefficient, lo]`` in each pending entry;
-``_reduce`` keeps its bounds in locals, and its pending entries stay
-bare coefficients.
+step for step, and ``_compare_strategies`` skips it.
 
-Every coefficient, in ``NCPoly``, in the rewrite table and in both
-engines, has one representation: an exponent map ``{e: c}`` for
+Two drivers call it.  The letter-append product ``_NormalProduct`` serves
+``normal_form``, ``project_to_s3``, ``nc reduce`` and the parser: the
+product of two normal forms feeds the letters of the right factor one at a
+time into the normal terms of the left one, and hands ``_reduce`` the
+words whose junction holds a redex, with the step count it has run up so
+far, so the free product of an expression is never expanded.  The checks
+call it on whole words: the strategy comparisons of ``fuzz_confluence``
+and ``exhaustive_pair_check``, and ``verify_defining_relations`` on each
+relation and its S^3 image under one budget.
+
+The pending entries of ``_reduce`` are bare coefficients, and its bounds
+live in locals (measured on a 2-vCPU Xeon VM, Python 3.11): a shared loop
+that stored ``[coefficient, lo]`` in each pending entry, with the
+one-sided bound ``lo`` where its redex list starts when a strategy is
+given, made the ``nc-fuzz`` benchmark slower in 6 of 6 seeds (``wall_s``
+median 0.88 to 1.00 s) and ``fuzz_confluence`` about 17 % slower in
+process, with unchanged step counts.  The letter-append product needs no
+such bound either: each word it hands over is scanned whole once, and the
+chain that the junction starts scans only the pairs beside each
+replacement, so ``z1^3000*z0`` takes 0.13 to 0.14 s of CPU, against 0.17
+to 0.18 s for the product's former loop that carried ``lo``.
+
+Every coefficient, in ``NCPoly``, in the rewrite table and in
+``_reduce``, has one representation: an exponent map ``{e: c}`` for
 ``sum_e c q^e`` with no zero coefficient, added and multiplied by
 ``rings._qadd`` and ``rings._qmul`` and merged into a term dict by
 ``_qmerge``.  ``LaurentQ`` is only the public face, built where a
@@ -70,10 +72,10 @@ constructors and ``_constant``) to maps, ``terms()``, ``coefficient()``,
 ``__str__`` and ``__hash__`` wrap a map on the way out, and
 ``defining_relations`` writes the relations by ``LaurentQ`` arithmetic,
 apart from the table it is checked against.  No coefficient map is ever
-mutated, so terms may share them; both engines multiply a coefficient by
-a factor of the rewrite table with ``_qmul``, and ``_reduce`` passes it
-on unchanged through the table's unit factor ``_UNIT`` and applies a
-chain of monomial factors as one shift and one scale.
+mutated, so terms may share them; ``_reduce`` multiplies a coefficient
+by a factor of the rewrite table with ``_qmul``, passes it on unchanged
+through the table's unit factor ``_UNIT`` and applies a chain of
+monomial factors as one shift and one scale.
 
 Internally a word is a tuple of integer codes (for ambient ``n``: starred
 index i is code i, unstarred index i is code n+1+i), so the canonical
@@ -354,16 +356,17 @@ def _rewrite_table(n: int, rules: frozenset) -> list:
     """The rewrite table of ``rules`` as ``2n+2`` rows of ``2n+2`` entries.
 
     ``table[a][b]`` holds the replacement terms ``((factor, subword), ...)``
-    of the pair ``(a, b)`` of codes, or ``None`` for a normal pair, so both
-    engines find a redex by indexing two lists, without building and hashing a
-    pair.  Only the families in ``rules`` are built, each written from its
-    left side, as R1-R4 of the module docstring state it.  Each factor is an
-    exponent map that the entries share, so no engine may hand one out as a
-    coefficient.  R3 and R4 list their sums from the top index down: both
-    engines pop the word inserted last, so the lowest index is rewritten first
-    and the words it creates merge into pending entries, and ``z_0 z*_0``
-    takes n + 2 steps, not 2^n + 1.  No cache keeps a table, which holds
-    O(n^3) entries: each computation builds its own (module docstring).
+    of the pair ``(a, b)`` of codes, or ``None`` for a normal pair, so
+    ``_reduce`` finds a redex by indexing two lists, without building and
+    hashing a pair.  Only the families in ``rules`` are built, each written
+    from its left side, as R1-R4 of the module docstring state it.  Each
+    factor is an exponent map that the entries share, so ``_reduce`` may
+    not hand one out as a coefficient.  R3 and R4 list their sums from the
+    top index down: ``_reduce`` pops the word inserted last, so the lowest
+    index is rewritten first and the words it creates merge into pending
+    entries, and ``z_0 z*_0`` takes n + 2 steps, not 2^n + 1.  No cache
+    keeps a table, which holds O(n^3) entries: each computation builds its
+    own (module docstring).
     """
     unknown = rules - ALL_RULES
     if unknown:
@@ -391,15 +394,18 @@ def _over_budget(step_cap: int) -> StepBudgetExceeded:
     )
 
 
-def _reduce(terms: dict, table: list, rightmost: bool, step_cap: int) -> tuple[dict, int, bool]:
+def _reduce(
+    terms: dict, table: list, rightmost: bool, step_cap: int, steps: int = 0, done: dict | None = None
+) -> tuple[dict, int, bool]:
     """The pair rewriter on exponent-map coefficients ``{e: c}`` of ``q^e``.
 
     Drives ``terms`` to normal form on the rewrite ``table``, rewriting
     each word's rightmost redex if ``rightmost`` is set, else its leftmost.
     Equal words are merged as they appear; this is sound because reduction
-    is linear over words.  Returns the normal terms, the number of rule
-    applications performed, and whether the strategy made a choice, that
-    is, whether any word it rewrote held two or more redexes.
+    is linear over words.  Returns the normal terms, merged into ``done``
+    if given, the step count, which starts from ``steps`` and may not pass
+    ``step_cap``, and whether the strategy made a choice, that is, whether
+    any word it rewrote held two or more redexes.
 
     A rewrite to one term whose word is not pending starts or extends a
     chain, which is followed in locals.  Terms, their order, steps and the
@@ -426,8 +432,8 @@ def _reduce(terms: dict, table: list, rightmost: bool, step_cap: int) -> tuple[d
       monomial ends the chain.
     """
     pending = dict(terms)
-    done: dict[tuple[int, ...], dict] = {}
-    steps, chose = 0, False
+    done = {} if done is None else done
+    chose = False
     while pending:
         word, coeff = pending.popitem()
         lo, hi = 0, len(word) - 2  # the pairs that can hold a redex
@@ -481,22 +487,11 @@ class _NormalProduct:
     """The normal-form product ``nf(left * right)`` for normal ``left``.
 
     The letters of each word of ``right`` are appended one at a time to
-    the normal terms built so far, and equal words are merged after every
-    letter.  Once the junction of a normal term holds no redex and the
+    the normal terms built so far, and the words whose junction holds a
+    redex are settled by ``_reduce``, merging into the words that needed
+    no rewrite.  Once the junction of a normal term holds no redex and the
     rest of the right word is normal, the term takes that rest in one
     concatenation.
-
-    Each pending word carries a bound ``lo`` before which it holds no
-    redex, and the leftmost redex is looked for from ``lo`` to the last
-    pair.  A normal word with one letter appended starts at the
-    junction, its last pair; a rewrite at the leftmost redex ``p`` leaves
-    the pairs before ``p - 1`` alone, so the words it makes start at
-    ``p - 1`` (or 0); a merge keeps the pending entry's bound, which
-    holds for the same word.  An end bound ``hi`` would add nothing: by
-    induction it is never below the word's last pair.  It starts at the
-    junction; a rewrite at ``p`` sets it to ``max(p + 1, hi)``, or to
-    ``max(p - 1, hi - 2)`` for R4's empty replacement, each at least the
-    new word's last pair; a merge keeps an entry of the same word.
 
     One instance is one computation: every rewrite of every product it
     forms counts against the same step budget.
@@ -523,52 +518,18 @@ class _NormalProduct:
                 pending, grown = {}, {}
                 for w, c in heads.items():
                     if w and table[w[-1]][x] is not None:
-                        pending[w + (x,)] = [c, len(w) - 1]
+                        pending[w + (x,)] = c
                     elif j >= normal_from:
                         _qmerge(out, w + word[j:], c)
                     else:
                         _qmerge(grown, w + (x,), c)
-                heads = self._settle(pending, grown)
+                heads, self.steps, _ = _reduce(pending, table, False, self.cap, self.steps, grown)
                 if not heads:
                     break
             else:
                 for w, c in heads.items():
                     _qmerge(out, w, c)
         return NCPoly._raw(self.n, out)
-
-    def _settle(self, pending: dict, done: dict) -> dict:
-        """Rewrite ``pending`` words to normal form, merging them into ``done``.
-
-        A pending word maps to ``[coefficient, lo]``, ``lo`` the bound of
-        the class docstring.
-        """
-        table = self.table
-        while pending:
-            word, (coeff, lo) = pending.popitem()
-            last = len(word) - 2
-            pos = lo
-            while pos <= last and table[word[pos]][word[pos + 1]] is None:
-                pos += 1
-            if pos > last:
-                _qmerge(done, word, coeff)
-                continue
-            self.steps += 1
-            if self.steps > self.cap:
-                raise _over_budget(self.cap)
-            head = word[:pos]
-            tail = word[pos + 2 :]
-            lo = max(pos - 1, 0)
-            for factor, repl in table[word[pos]][word[pos + 1]]:
-                new_word = head + repl + tail
-                new_coeff = _qmul(coeff, factor)
-                entry = pending.get(new_word)
-                if entry is None:
-                    pending[new_word] = [new_coeff, lo]
-                else:  # either bound holds for the word
-                    entry[0] = _qadd(entry[0], new_coeff)
-                    if not entry[0]:
-                        del pending[new_word]
-        return done
 
 
 def normal_form(

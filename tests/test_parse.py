@@ -14,7 +14,7 @@ from qcpn.ncparse import (
     parse_expr,
 )
 from qcpn.rings import LaurentQ
-from qcpn.sphere import Generator, NCPoly, _NormalProduct, normal_form
+from qcpn.sphere import Generator, NCPoly, StepBudgetExceeded, _NormalProduct, normal_form
 
 
 def gen(n, i, starred=False):
@@ -247,20 +247,27 @@ class TestFreeExpansionCap:
         assert parse_expr("(z0+z0s)^2", 1, _mul=_NormalProduct(1)) == expected
 
 
+LETTER_APPEND_STEPS = [
+    ("z0s^16*z0^16", 1496),
+    ("z0s^32*z0^32", 11440),
+    ("(z0+z0s)^16", 19638),
+    ("z1^3000*z0", 3000),
+]
+
+
 class TestLetterAppendSteps:
-    @pytest.mark.parametrize(
-        "expr, steps",
-        [
-            ("z0s^16*z0^16", 1496),
-            ("z0s^32*z0^32", 11440),
-            ("(z0+z0s)^16", 19638),
-            ("z1^3000*z0", 3000),
-        ],
-    )
+    @pytest.mark.parametrize("expr, steps", LETTER_APPEND_STEPS)
     def test_step_counts(self, expr, steps):
         mul = _NormalProduct(1)
         parse_expr(expr, 1, _mul=mul)
         assert mul.steps == steps
+
+    @pytest.mark.parametrize("expr, steps", LETTER_APPEND_STEPS)
+    def test_cap_spans_the_parse(self, expr, steps):
+        # the cap bounds the instance's running count, not each product's own
+        parse_expr(expr, 1, _mul=_NormalProduct(1, step_cap=steps))
+        with pytest.raises(StepBudgetExceeded, match=f"^exceeded {steps - 1} rewrite steps"):
+            parse_expr(expr, 1, _mul=_NormalProduct(1, step_cap=steps - 1))
 
 
 @st.composite

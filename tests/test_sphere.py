@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcpn import cli, sphere
+from qcpn.ncparse import parse_expr
 from qcpn.rings import LaurentQ
 from qcpn.sphere import (
     ALL_RULES,
@@ -276,8 +277,8 @@ class TestMergeOrder:
 
     def test_settle_drops_a_cancelled_pending_word(self):
         # z0 z0s is popped first; its z1 z1s term cancels the pending one
-        settled = _NormalProduct(1)._settle(
-            {(3, 1): [{0: 1, -2: -1}, 0], (2, 0): [{0: 1}, 0]}, {}
+        settled, _, _ = _reduce(
+            {(3, 1): {0: 1, -2: -1}, (2, 0): {0: 1}}, sphere._rewrite_table(1, ALL_RULES), False, 10**6
         )
         assert settled == {(): {0: 1}, (1, 3): {-2: -1}}
         p = word_poly(1, [(0, False), (0, True)]) + LaurentQ({0: 1, -2: -1}) * word_poly(
@@ -326,6 +327,42 @@ def reference_reduce(terms, table, rightmost, step_cap):
     return done, steps, chose
 
 
+def reference_settle(pending, done, table, steps, step_cap):
+    """The letter-append product's own loop before it called ``_reduce``.
+
+    A pending word maps to ``[coefficient, lo]``, where ``lo`` is a bound
+    before which the word holds no redex: the leftmost redex is looked for
+    from ``lo`` on, and the words a rewrite at ``p`` makes start at
+    ``p - 1`` (or 0).  Normal words merge into ``done``; returns ``done``
+    and the step count, which starts from ``steps``.
+    """
+    while pending:
+        word, (coeff, lo) = pending.popitem()
+        last = len(word) - 2
+        pos = lo
+        while pos <= last and table[word[pos]][word[pos + 1]] is None:
+            pos += 1
+        if pos > last:
+            sphere._qmerge(done, word, coeff)
+            continue
+        steps += 1
+        if steps > step_cap:
+            raise sphere._over_budget(step_cap)
+        head, tail = word[:pos], word[pos + 2 :]
+        lo = max(pos - 1, 0)
+        for factor, repl in table[word[pos]][word[pos + 1]]:
+            new_word = head + repl + tail
+            new_coeff = sphere._qmul(coeff, factor)
+            entry = pending.get(new_word)
+            if entry is None:
+                pending[new_word] = [new_coeff, lo]
+            else:  # either bound holds for the word
+                entry[0] = sphere._qadd(entry[0], new_coeff)
+                if not entry[0]:
+                    del pending[new_word]
+    return done, steps
+
+
 def in_order(result):
     """A ``_reduce`` result with its dict orders made part of the comparison."""
     terms, steps, chose = result
@@ -363,6 +400,76 @@ class TestReferenceLoop:
             start = {u: {0: 1}, w: {1: -1}}
             got = _reduce(start, rows, rightmost, 10**6)
             assert in_order(got) == in_order(reference_reduce(start, rows, rightmost, 10**6))
+
+
+class SettleShim:
+    """``_reduce`` as the letter-append product calls it, run by
+    ``reference_settle`` on the step count that the former loop kept on its
+    instance.
+
+    Each pending word is a normal word with one letter appended, so its
+    first possible redex is its last pair.
+    """
+
+    def __init__(self):
+        self.steps = 0
+
+    def __call__(self, terms, table, rightmost, step_cap, steps=0, done=None):
+        pending = {w: [c, len(w) - 2] for w, c in terms.items()}
+        done, self.steps = reference_settle(pending, {} if done is None else done, table, self.steps, step_cap)
+        return done, self.steps, False
+
+
+def product_cases():
+    """``(n, compute)`` pairs, where ``compute(mul)`` forms a product with
+    ``mul``: two-term normal left factors times one-word right ones, and
+    parsed expressions."""
+    cases = []
+    for n, max_len in ((1, 3), (2, 2)):
+        table = sphere._rewrite_table(n, ALL_RULES)
+        letters = range(2 * n + 2)
+        words = [w for k in range(max_len + 1) for w in product(letters, repeat=k)]
+        normal = [w for w in words if all(table[a][b] is None for a, b in zip(w, w[1:]))]
+        for i, u in enumerate(normal):
+            # the second term is scaled by -q, so that results merge and cancel
+            left = NCPoly._raw(n, {u: {0: 1}, normal[i - 1]: {1: -1}})
+            for w in words:
+                cases.append((n, lambda mul, l=left, r=NCPoly._raw(n, {w: {0: 1}}): mul(l, r)))
+    rng = random.Random(35)
+
+    def factor(n):
+        words = (
+            "*".join(f"z{rng.randint(0, n)}{rng.choice(('', 's'))}" for _ in range(rng.randint(1, 3)))
+            for _ in range(rng.randint(1, 2))
+        )
+        return "+".join(f"q^{rng.randint(-2, 2)}*{w}" for w in words)
+
+    exprs = [(1, "z0s^8*z0^8"), (3, "z0s^4*z0^4*z1s")]  # two junctions
+    for _ in range(300):
+        n = rng.randint(1, 2)
+        exprs.append((n, f"({factor(n)})*({factor(n)})"))
+    cases += [(n, lambda mul, t=text, n=n: parse_expr(t, n, _mul=mul)) for n, text in exprs]
+    return cases
+
+
+class TestProductAgainstSettle:
+    """The letter-append product settles its words through ``_reduce``;
+    its terms, their order and its steps are those of its former loop."""
+
+    def test_products_and_parses(self, monkeypatch):
+        cases = product_cases()
+
+        def run(shim):
+            out = []
+            for n, compute in cases:
+                if shim:  # a fresh count for each instance
+                    monkeypatch.setattr(sphere, "_reduce", SettleShim())
+                mul = _NormalProduct(n)
+                out.append(in_order((compute(mul)._terms, mul.steps, False)))
+            return out
+
+        assert len(cases) == 4013
+        assert run(False) == run(True)
 
 
 class TestJunctionDerivation:
